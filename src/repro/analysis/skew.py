@@ -14,7 +14,7 @@ All skews are derived from the Elmore sink delays of the final tree:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.delay.elmore import sink_delays
 from repro.delay.technology import Technology
@@ -66,13 +66,19 @@ class SkewReport:
         return all(skew <= bound + tolerance for skew in self.per_group_skew.values())
 
 
-def skew_report(tree) -> SkewReport:
-    """Compute the :class:`SkewReport` of an embedded clock tree."""
-    delays = sink_delays(tree)
-    if not delays:
-        raise ValueError("the tree has no sinks")
+def skew_report(tree, delays: Optional[Mapping[int, float]] = None) -> SkewReport:
+    """Compute the :class:`SkewReport` of an embedded clock tree.
+
+    ``delays`` are the tree's Elmore delays keyed by node id (at least every
+    sink's, e.g. from :func:`~repro.delay.elmore.elmore_delays`) when the
+    caller already has them; by default they are evaluated here.
+    """
+    if delays is None:
+        delays = sink_delays(tree)
     sinks = tree.sinks()
-    values = list(delays.values())
+    if not sinks:
+        raise ValueError("the tree has no sinks")
+    values = [delays[sink.node_id] for sink in sinks]
     max_delay = max(values)
     min_delay = min(values)
 

@@ -278,13 +278,16 @@ def _run_eco(
             reused_nodes=outcome.eco.reused_nodes,
         )
 
-        skew = skew_report(routing.tree)
+        with get_tracer().span("eco.delay"):
+            skew = skew_report(routing.tree)
         wire = wirelength_report(routing.tree)
         if spec.validate:
             validate_kwargs = {"intra_bound_ps": spec.base.effective_bound_ps()}
             if spec.base.locus_tolerance is not None:
                 validate_kwargs["locus_tolerance"] = spec.base.locus_tolerance
-            issues = validate_result(routing, **validate_kwargs)
+            with get_tracer().span("eco.validate") as validate_span:
+                issues = validate_result(routing, **validate_kwargs)
+                validate_span.set(issues=len(issues))
         else:
             issues = []
     total = time.perf_counter() - started

@@ -11,20 +11,25 @@ For the Elmore metric the discretisation is exact for any segment count, so
 the oracle must agree with :mod:`repro.delay.elmore` to numerical precision --
 which is exactly what the test-suite asserts.
 
-The network itself is stored in plain dictionaries (parent/children/cap/
-resistance); ``networkx`` is no longer part of the construction or evaluation
-path.  :meth:`RcTree.graph` still exposes the network as a ``DiGraph`` for
-analysis and reporting code, built lazily and cached until the next mutation.
+:class:`RcTree` stores the network in plain dictionaries (parent/children/
+cap/resistance) and evaluates it node by node; :meth:`RcTree.graph` exposes it
+as a ``networkx.DiGraph`` for analysis and reporting code, built lazily and
+cached until the next mutation.  :func:`oracle_delays` -- what validation and
+the optimizer call -- evaluates the same segment network (one per buffer
+stage) as array passes (:func:`segment_network_delays`), replaying
+:class:`RcTree`'s float operations in order, so on buffer-free trees both
+return equal delays.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
-from typing import Dict, List
+from typing import Dict, List, Mapping, Sequence
+
+import numpy as np
 
 from repro.delay.technology import DEFAULT_TECHNOLOGY, Technology
 
-__all__ = ["RcTree", "oracle_delays"]
+__all__ = ["RcTree", "oracle_delays", "segment_network_delays"]
 
 
 class RcTree:
@@ -195,65 +200,151 @@ def oracle_delays(tree, segments_per_edge: int = 4) -> Dict[int, float]:
 
     The buffer-aware replacement for ``RcTree.from_clock_tree(t)
     .elmore_delays()``: a buffer decouples its subtree, so the tree is split
-    into stages at buffered nodes.  Each stage becomes its own discretised RC
+    into stages at buffered nodes.  Each stage is its own discretised RC
     network whose driver resistance is the source resistance (top stage) or
     the stage buffer's drive resistance; a buffered node appears in its parent
     stage as a leaf carrying only the buffer input cap, and its recorded delay
     is the arrival at the buffer *input* -- exactly the convention of
     :mod:`repro.delay.elmore`.  Stage delays compose as ``arrival + intrinsic
-    + network delay``.  On buffer-free trees this is precisely the historical
-    single-network oracle.
+    + network delay``.  On buffer-free trees this is precisely the single
+    network of :meth:`RcTree.from_clock_tree`, evaluated by
+    :func:`segment_network_delays` as array passes instead of node by node.
+
+    Returns the delay of every node reachable from the root.  Raises
+    ``ValueError`` when the tree has no root or a node is reached twice (a
+    cycle or a node listed under two parents).
     """
-    tech = tree.technology
     root = tree.root()
-    result: Dict[int, float] = {}
-    # (stage_root_id, delay at the stage driver's output start, driver ohms)
-    stages: List[tuple] = []
-    if root.buffer is not None:
-        # Degenerate top stage: the source drives only the buffer input pin.
-        result[root.node_id] = tech.source_resistance * root.buffer.input_cap
-        stages.append(
-            (
-                root.node_id,
-                result[root.node_id] + root.buffer.intrinsic_delay,
-                root.buffer.drive_resistance,
-            )
-        )
+    order = [root]
+    seen = {root.node_id}
+    for node in order:  # breadth-first: the list grows while it is walked
+        for child_id in node.children:
+            if child_id in seen:
+                raise ValueError("node %d is reached twice from the root" % child_id)
+            seen.add(child_id)
+            order.append(tree.node(child_id))
+    delays = segment_network_delays(
+        [len(node.children) for node in order],
+        [node.edge_length for node in order],
+        [node.sink_cap for node in order],
+        {i: node.buffer for i, node in enumerate(order) if node.buffer is not None},
+        tree.technology,
+        segments_per_edge,
+    )
+    return dict(zip([node.node_id for node in order], delays.tolist()))
+
+
+def segment_network_delays(
+    child_counts: Sequence[int],
+    edge_lengths: Sequence[float],
+    sink_caps: Sequence[float],
+    buffers: Mapping[int, "object"],
+    technology: Technology,
+    segments_per_edge: int = 4,
+) -> np.ndarray:
+    """Elmore delays of a tree's per-stage segment networks, as array passes.
+
+    The tree arrives as breadth-first columns: node 0 is the root and every
+    node's children are contiguous, in attach order, in the next level (the
+    order a level-by-level walk produces).  ``buffers`` maps a position to
+    its :class:`~repro.delay.buffer.BufferCell`.
+
+    Each edge is the ``segments_per_edge``-section pi-model chain that
+    :meth:`RcTree.add_wire` builds, and every float operation happens in the
+    order the node-by-node :class:`RcTree` performs it: a node's grounded cap
+    is its own wire's far half-cap plus its load, then its child wires' near
+    half-caps in attach order; its downstream cap adds the children's
+    downstream caps in attach order; delays accumulate ``R_k * C_down(k)``
+    segment by segment from the stage driver.  So on buffer-free trees the
+    result equals ``RcTree.from_clock_tree(...).elmore_delays()`` exactly.
+    """
+    if segments_per_edge < 1:
+        raise ValueError("a wire needs at least one segment")
+    counts = np.asarray(child_counts, dtype=np.int64)
+    lengths = np.asarray(edge_lengths, dtype=np.float64)
+    caps = np.asarray(sink_caps, dtype=np.float64)
+    n = counts.size
+    if not n:
+        raise ValueError("a network needs a root")
+    # The root's own edge length is never part of a network.
+    if lengths[1:].min(initial=0.0) < 0.0 or caps.min(initial=0.0) < 0.0:
+        raise ValueError("resistance and capacitance must be non-negative")
+    first_child = np.ones(n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=first_child[1:])
+    first_child[1:] += 1
+    bounds = [0, 1]
+    while bounds[-1] < n:
+        end = int(first_child[bounds[-1] - 1] + counts[bounds[-1] - 1])
+        if end <= bounds[-1]:
+            raise ValueError("child counts do not describe a breadth-first tree")
+        bounds.append(end)
+    parent = np.repeat(np.arange(n, dtype=np.int64), counts)
+
+    buffered = np.zeros(n, dtype=bool)
+    input_cap = np.zeros(n)
+    intrinsic = np.zeros(n)
+    drive = np.zeros(n)
+    for position, cell in buffers.items():
+        buffered[position] = True
+        input_cap[position] = cell.input_cap
+        intrinsic[position] = cell.intrinsic_delay
+        drive[position] = cell.drive_resistance
+
+    k = segments_per_edge
+    seg_len = lengths / k
+    seg_res = technology.unit_resistance * seg_len
+    half = technology.unit_capacitance * seg_len / 2.0
+    # A node's cap as a member of its parent's stage: far half-cap + load
+    # (a buffered node is a leaf there, loading it with its input pin).
+    member_cap = half + np.where(buffered, input_cap, caps)
+    # Stage roots (the root, buffered nodes) start their own network from
+    # their sink cap alone.
+    stage_root = buffered.copy()
+    stage_root[0] = True
+    # down_top: downstream cap at the node in the network holding its
+    # children; chain[:, j]: downstream cap at the j-th segment node of the
+    # wire into the node (column k-1 is the node itself).
+    down_top = np.where(stage_root, caps, member_cap)
+    chain = np.empty((n, k))
+    wire_node_cap = half + half
+    for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        level_counts = counts[lo:hi]
+        widest = int(level_counts.max())
+        if widest:
+            starts = first_child[lo:hi]
+            total = down_top[lo:hi]  # a view: the sums land in down_top
+            for source in (half, chain[:, 0]):
+                for slot in range(widest):
+                    sel = level_counts > slot
+                    total[sel] = total[sel] + source[starts[sel] + slot]
+        chain[lo:hi, k - 1] = np.where(buffered[lo:hi], member_cap[lo:hi], down_top[lo:hi])
+        for j in range(k - 2, -1, -1):
+            chain[lo:hi, j] = wire_node_cap[lo:hi] + chain[lo:hi, j + 1]
+
+    delays = np.empty(n)
+    # inner: the stage-relative delay the node's children build on; base:
+    # the absolute time their stage starts at.
+    inner = np.empty(n)
+    base = np.empty(n)
+    if buffered[0]:
+        delays[0] = technology.source_resistance * input_cap[0]
+        inner[0] = drive[0] * down_top[0]
+        base[0] = delays[0] + intrinsic[0]
     else:
-        stages.append((root.node_id, 0.0, tech.source_resistance))
-    while stages:
-        stage_root, base, drive = stages.pop()
-        stage_tech = _replace(tech, source_resistance=drive)
-        rc = RcTree(stage_root, technology=stage_tech)
-        rc.add_cap(stage_root, tree.node(stage_root).sink_cap)
-        members: List[int] = []
-        boundaries = []
-        queue = [stage_root]
-        while queue:
-            nid = queue.pop()
-            for child in tree.children_of(nid):
-                rc.add_wire(child.node_id, nid, child.edge_length, segments_per_edge)
-                members.append(child.node_id)
-                if child.buffer is not None:
-                    rc.add_cap(child.node_id, child.buffer.input_cap)
-                    boundaries.append(child)
-                else:
-                    rc.add_cap(child.node_id, child.sink_cap)
-                    queue.append(child.node_id)
-        delays = rc.elmore_delays()
-        if stage_root not in result:
-            # Top stage only: deeper stage roots keep the buffer-input arrival
-            # recorded by their parent stage.
-            result[stage_root] = base + delays[stage_root]
-        for nid in members:
-            result[nid] = base + delays[nid]
-        for child in boundaries:
-            if child.children:
-                stages.append(
-                    (
-                        child.node_id,
-                        result[child.node_id] + child.buffer.intrinsic_delay,
-                        child.buffer.drive_resistance,
-                    )
-                )
-    return result
+        inner[0] = technology.source_resistance * down_top[0]
+        delays[0] = 0.0 + inner[0]
+        base[0] = 0.0
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        up = parent[lo - 1:hi - 1]
+        arrival = inner[up]
+        for j in range(k):
+            arrival = arrival + seg_res[lo:hi] * chain[lo:hi, j]
+        delays[lo:hi] = base[up] + arrival
+        level_buffered = buffered[lo:hi]
+        inner[lo:hi] = np.where(
+            level_buffered, drive[lo:hi] * down_top[lo:hi], arrival
+        )
+        base[lo:hi] = np.where(
+            level_buffered, delays[lo:hi] + intrinsic[lo:hi], base[up]
+        )
+    return delays

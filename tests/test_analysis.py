@@ -1,5 +1,7 @@
 """Tests for the analysis subsystem (skew, wirelength, validation, reporting)."""
 
+import threading
+
 import pytest
 
 from repro.analysis.report import TableRow, format_table, rows_to_csv
@@ -113,6 +115,102 @@ class TestValidation:
         tree.add_sink(Point(0, 0), 1.0)
         issues = validate_tree(tree)
         assert any(issue.code == "structure" for issue in issues)
+
+
+def _call_with_timeout(fn, seconds=20.0):
+    """Run ``fn`` in a daemon thread; fail (instead of hanging) on timeout."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "validation did not return"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestMalformedTrees:
+    """Regressions: broken trees yield issues, never a crash or a hang."""
+
+    @pytest.fixture
+    def routed(self, small_instance):
+        return AstDme(AstDmeConfig(skew_bound_ps=10.0)).route(small_instance)
+
+    def test_detached_sink_is_a_structure_issue(self, routed, small_instance):
+        tree = routed.tree
+        sink = tree.sinks()[0]
+        tree.node(sink.parent).children.remove(sink.node_id)
+        sink.parent = None
+        tree.mark_mutated()
+        for issues in (
+            validate_tree(tree),
+            validate_tree(tree, small_instance),
+            validate_result(routed, intra_bound_ps=10.0),
+        ):
+            messages = [i.message for i in issues if i.code == "structure"]
+            assert "the tree is not connected" in messages
+            assert {i.code for i in issues} <= {"structure", "locus"}
+
+    def test_unembedded_sink_is_a_coverage_issue(self, routed, small_instance):
+        tree = routed.tree
+        sink = tree.sinks()[3]
+        tree.node(sink.node_id).location = None
+        tree.mark_mutated()
+        issues = validate_tree(tree, small_instance)
+        assert ValidationIssue(
+            "coverage", "tree sink %d is not embedded" % sink.node_id
+        ) in issues
+        assert any(
+            i.code == "coverage" and "instance sink %d " % sink.node_id in i.message
+            for i in issues
+        )
+        assert any(i.code == "geometry" and "not embedded" in i.message for i in issues)
+
+    def test_root_below_a_sink_returns_instead_of_hanging(self, routed, small_instance):
+        tree = routed.tree
+        root = tree.root()
+        sink = tree.sinks()[0]
+        root.parent = sink.node_id
+        sink.children.append(root.node_id)
+        tree.mark_mutated()
+        issues = _call_with_timeout(
+            lambda: validate_result(routed, intra_bound_ps=10.0)
+        )
+        messages = [i.message for i in issues if i.code == "structure"]
+        assert "the tree contains a cycle" in messages
+        assert "sink node %d has children" % sink.node_id in messages
+        assert _call_with_timeout(lambda: validate_tree(tree, small_instance)) == [
+            i for i in issues if i.code == "structure"
+        ]
+
+    def test_disagreeing_links_are_a_structure_issue(self, routed):
+        tree = routed.tree
+        sink = tree.sinks()[0]
+        tree.node(sink.parent).children.remove(sink.node_id)  # parent kept
+        tree.mark_mutated()
+        issues = validate_tree(tree)
+        assert ValidationIssue(
+            "structure", "node %d: parent and child links disagree" % sink.node_id
+        ) in issues
+
+    def test_unknown_parent_id_is_a_structure_issue(self, routed, small_instance):
+        tree = routed.tree
+        sink = tree.sinks()[0]
+        tree.node(sink.parent).children.remove(sink.node_id)
+        sink.parent = 10**6  # not a node of the tree
+        tree.mark_mutated()
+        issues = validate_result(routed, intra_bound_ps=10.0)
+        assert {i.code for i in issues} <= {"structure", "locus"}
+        messages = [i.message for i in issues]
+        assert "the tree is not connected" in messages
+        assert "node %d: parent and child links disagree" % sink.node_id in messages
 
 
 class TestIssueFormatting:

@@ -695,3 +695,25 @@ class TestRunResultStats:
             assert payload["resources"]["peak_rss_mb"] > 0.0
         finally:
             service.close()
+
+
+class TestImportCost:
+    def test_importing_the_api_does_not_import_networkx(self):
+        """networkx stays a lazy import (``ClockTree.to_networkx``,
+        ``RcTree.graph``): loading it costs more than the rest of the api."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.api, sys; assert 'networkx' not in sys.modules"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -94,6 +94,21 @@ class TestRunEco:
         assert back.wirelength == result.wirelength
         assert back.eco.preserved_roots == result.eco.preserved_roots
 
+    def test_trace_attributes_delay_and_validation(self):
+        spec = _eco_spec()
+        base = run(spec.base, keep_tree=True).routing
+        traced = run_eco(spec, base_routing=base, trace=True)
+        untraced = run_eco(spec, base_routing=base)
+        (eco,) = [e for e in traced.trace if e["name"] == "eco"]
+        children = {e["name"]: e for e in traced.trace if e["parent_id"] == eco["span_id"]}
+        assert {"eco.delay", "eco.validate"} <= set(children)
+        assert children["eco.validate"]["attrs"]["issues"] == len(traced.issues)
+        a, b = traced.to_dict(), untraced.to_dict()
+        for key in ("eco_seconds", "total_seconds", "stats", "trace"):
+            a.pop(key, None)
+            b.pop(key, None)
+        assert a == b
+
     def test_validation_issues_populate_issues(self):
         # An absurdly tight bound the stitched tree cannot meet globally is
         # not available per-spec, so instead check the plumbing: validate off

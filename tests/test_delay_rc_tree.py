@@ -180,3 +180,63 @@ class TestGraphView:
         rc.elmore_delays()
         rc.downstream_capacitances()
         rc.total_capacitance()
+
+
+class TestArrayOracle:
+    """``oracle_delays`` (array passes) against the node-by-node ``RcTree``."""
+
+    @pytest.mark.parametrize("segments", [1, 3, 4, 6])
+    @pytest.mark.parametrize(
+        "family,groups", [("random", 4), ("clustered", 8), ("blocked", 96)]
+    )
+    def test_equals_rc_tree_on_buffer_free_trees(self, family, groups, segments):
+        from repro.api import InstanceSpec, RouterSpec, RunSpec, run
+        from repro.delay.rc_tree import oracle_delays
+
+        if family == "random":
+            instance = InstanceSpec.from_random(150, seed=5, groups=groups)
+        else:
+            instance = InstanceSpec.from_family(family, 150, seed=5, groups=groups)
+        spec = RunSpec(instance=instance, router=RouterSpec("ast-dme", {"skew_bound_ps": 10.0}))
+        tree = run(spec, keep_tree=True).routing.tree
+        expected = RcTree.from_clock_tree(tree, segments).elmore_delays()
+        delays = oracle_delays(tree, segments)
+        assert set(delays) == {node.node_id for node in tree.nodes()}
+        for node_id, value in delays.items():
+            assert value == expected[node_id], node_id  # bit-identical
+
+    def test_hand_built_tree_with_a_sink_parent(self, tech):
+        """Any node may carry load and children; unequal fan-out per level."""
+        from repro.delay.rc_tree import oracle_delays
+
+        tree = ClockTree(technology=tech)
+        s0 = tree.add_sink(Point(0.0, 0.0), 33.0)
+        s1 = tree.add_sink(Point(100.0, 0.0), 12.0)
+        s2 = tree.add_sink(Point(300.0, 0.0), 7.0)
+        s3 = tree.add_sink(Point(300.0, 50.0), 5.0)
+        tree.attach(s2, s3, 50.0)  # a sink driving another sink
+        m0 = tree.add_internal([s0, s1, s2], [200.0, 100.0, 100.0], location=Point(200.0, 0.0))
+        tree.add_source(Point(200.0, 80.0), m0, 80.0)
+        for segments in (1, 2, 5):
+            expected = RcTree.from_clock_tree(tree, segments).elmore_delays()
+            delays = oracle_delays(tree, segments)
+            assert delays == {nid: expected[nid] for nid in delays}
+
+    def test_rejects_a_node_reached_twice(self, tech):
+        from repro.delay.rc_tree import oracle_delays
+
+        tree = ClockTree(technology=tech)
+        s0 = tree.add_sink(Point(0.0, 0.0), 1.0)
+        m0 = tree.add_internal([s0], [10.0], location=Point(10.0, 0.0))
+        tree.add_source(Point(10.0, 0.0), m0, 0.0)
+        tree.node(m0).children.append(s0)
+        with pytest.raises(ValueError, match="reached twice"):
+            oracle_delays(tree)
+
+    def test_rejects_bad_segment_counts(self, tech):
+        from repro.delay.rc_tree import segment_network_delays
+
+        with pytest.raises(ValueError):
+            segment_network_delays([0], [0.0], [1.0], {}, tech, segments_per_edge=0)
+        with pytest.raises(ValueError, match="breadth-first"):
+            segment_network_delays([0, 0], [0.0, 1.0], [1.0, 1.0], {}, tech)
