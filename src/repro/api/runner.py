@@ -21,8 +21,7 @@ def _run_stats(stages: StageSpans, routing, started: float) -> dict:
 
     Per-stage construction times (select/merge/embed) come from the router's
     :class:`MergeStats` when it recorded them; report/validate times from the
-    runner's own stage spans (the :class:`~repro.obs.trace.StageSpans`
-    successor of ``StageTimer``, producing the same ``{name: seconds}``
+    runner's own :class:`~repro.obs.trace.StageSpans` (``{name: seconds}``
     entries).  ``peak_rss_mb`` is the process high-water mark at the end of
     the run (see :mod:`repro.metrics` for its semantics).
     """

@@ -17,9 +17,8 @@ Three kinds of routing rows are produced per instance size:
   ``greedy-dme`` and ``ext-bst`` on the ungrouped instance) with the default
   configuration -- the headline trajectory every PR is compared against;
 * one ``greedy-dme`` strict single-merge row per neighbour strategy
-  (``scalar`` seed reference, ``rebuild`` vectorised, ``incremental``
-  maintained index) -- the merging loop dominates there, which is what the
-  speed-up *gates* measure;
+  (``scalar`` seed reference, ``incremental`` maintained index) -- the
+  merging loop dominates there, which is what the speed-up *gates* measure;
 * buffered-CTS rows (since schema v7): the blocked instance under the
   cap-limited buffered pipeline, a buffer-free identity row whose pipeline
   carries the insertion pass but no cap limit, and an ``h-tree`` trunk-hybrid
@@ -97,8 +96,11 @@ __all__ = [
 #: ``h-tree`` comparison rows and buffered-insertion rows on the blocked
 #: scenarios, and the ``buffered`` (buffer-free runs stay bit-identical;
 #: buffered runs insert and validate) and ``htree`` (valid tree within the
-#: wirelength ratio ceiling versus ast-dme) gates.
-SCHEMA = "repro-bench/v7"
+#: wirelength ratio ceiling versus ast-dme) gates;
+#: v8 drops the ``greedy-dme-single-rebuild`` rows (the retired ``rebuild``
+#: neighbour strategy) and the speedup gates' ``identity_label`` key -- the
+#: scalar == incremental identity still binds.
+SCHEMA = "repro-bench/v8"
 
 #: The suites ``repro bench --suite`` can run.
 SUITES = ("scaling", "large", "service", "eco", "all")
@@ -120,8 +122,11 @@ SMOKE_LARGE_SIZES = (50000,)
 GATE_SPEEDUP = 5.0
 
 #: Wall-time improvement the backend gate demands of the arena tree core over
-#: the object walk on the largest scaling-size ast-dme row.
-GATE_BACKEND_SPEEDUP = 5.0
+#: the object walk on the largest scaling-size ast-dme row.  Since schema v8
+#: both loops choose lazy splits with the same vectorised scan, which was
+#: most of the object walk's old 5x deficit; the arena measured 1.6x ahead at
+#: 8k sinks.
+GATE_BACKEND_SPEEDUP = 1.25
 
 #: Wall-time ceilings (seconds) of the large-suite resource gates, per sink
 #: count.  Measured arena walls are ~5.7s at 50k and ~30s at 200k on the
@@ -199,19 +204,15 @@ ECO_ROW_KEYS = frozenset(
     }
 )
 
-SPEEDUP_GATE_KEYS = frozenset(
-    {
-        "kind", "name", "baseline_label", "candidate_label", "identity_label",
-        "speedup", "threshold", "identical_results", "passed",
-    }
-)
-
 BACKEND_GATE_KEYS = frozenset(
     {
         "kind", "name", "baseline_label", "candidate_label", "speedup",
         "threshold", "identical_results", "passed",
     }
 )
+
+#: Speedup gates carry the same columns as backend gates (see _pair_gate).
+SPEEDUP_GATE_KEYS = BACKEND_GATE_KEYS
 
 RESOURCE_GATE_KEYS = frozenset(
     {
@@ -313,7 +314,7 @@ def scaling_configs(
         # Pinned to the object tree core so the strategy speed-up trajectory
         # keeps measuring the neighbour engines against the same merge loop
         # the v1-v4 files measured.
-        for strategy in ("scalar", "rebuild", "incremental"):
+        for strategy in ("scalar", "incremental"):
             label = "greedy-dme-single-%s-n%d" % (strategy, n)
             configs.append(
                 {
@@ -704,50 +705,29 @@ def _gates(
     """The speed-up / identity gates derived from the finished rows.
 
     For every instance size: ``incremental`` must route results identical to
-    both the ``scalar`` seed reference and the stateless ``rebuild`` strategy,
-    and at the largest size must beat the scalar baseline by ``threshold``
-    (small runs are noise-bound, so only identity gates there).
+    the ``scalar`` seed reference, and at the largest size must beat it by
+    ``threshold``; the arena headline ast-dme row must likewise match the
+    object identity row.  The repair, buffered and h-tree gates follow.
     """
-    by_label = {row["label"]: row for row in rows}
-    gates: List[Dict[str, Any]] = []
-    largest = max(sizes)
-    for n in sizes:
-        baseline = by_label.get("greedy-dme-single-scalar-n%d" % n)
-        candidate = by_label.get("greedy-dme-single-incremental-n%d" % n)
-        identity = by_label.get("greedy-dme-single-rebuild-n%d" % n)
-        if not baseline or not candidate or not identity:
-            continue
-        usable = baseline["ok"] and candidate["ok"] and identity["ok"]
-        speedup = (
-            baseline["wall_seconds"] / candidate["wall_seconds"]
-            if usable and candidate["wall_seconds"] > 0.0
-            else 0.0
-        )
-        identical = usable and all(
-            baseline[key] == candidate[key] == identity[key]
-            for key in (
-                "wirelength",
-                "global_skew_ps",
-                "max_intra_group_skew_ps",
-                "num_nodes",
-            )
-        )
-        required = threshold if n == largest else 0.0
-        gates.append(
-            {
-                "kind": "speedup",
-                "name": "greedy-dme-single-n%d" % n,
-                "baseline_label": baseline["label"],
-                "candidate_label": candidate["label"],
-                "identity_label": identity["label"],
-                "speedup": speedup,
-                "threshold": required,
-                "identical_results": identical,
-                "passed": usable and identical and speedup >= required,
-            }
-        )
+    gates = _size_gates(
+        "speedup",
+        rows,
+        sizes,
+        "greedy-dme-single-scalar-n%d",
+        "greedy-dme-single-incremental-n%d",
+        "greedy-dme-single-n%d",
+        threshold,
+    )
     gates.extend(
-        _backend_gates(rows, sizes, GATE_BACKEND_SPEEDUP if threshold else 0.0)
+        _size_gates(
+            "backend",
+            rows,
+            sizes,
+            "ast-dme-object-n%d",
+            "ast-dme-n%d",
+            "ast-dme-backend-n%d",
+            GATE_BACKEND_SPEEDUP if threshold else 0.0,
+        )
     )
     gates.extend(_repair_gates(rows, sizes))
     gates.extend(_buffered_gates(rows, sizes))
@@ -764,14 +744,16 @@ _IDENTITY_KEYS = (
 )
 
 
-def _backend_gate(
+def _pair_gate(
+    kind: str,
     baseline: Optional[Dict[str, Any]],
     candidate: Optional[Dict[str, Any]],
     name: str,
     threshold: float,
 ) -> Optional[Dict[str, Any]]:
-    """One arena-vs-object gate: identical trees, and (when ``threshold`` is
-    non-zero) the arena candidate beats the object baseline's wall clock."""
+    """One baseline-vs-candidate gate (``kind`` "speedup" or "backend"):
+    identical trees, and (when ``threshold`` is non-zero) the candidate beats
+    the baseline's wall clock by that factor."""
     if not baseline or not candidate:
         return None
     usable = baseline["ok"] and candidate["ok"]
@@ -784,7 +766,7 @@ def _backend_gate(
         baseline[key] == candidate[key] for key in _IDENTITY_KEYS
     )
     return {
-        "kind": "backend",
+        "kind": kind,
         "name": name,
         "baseline_label": baseline["label"],
         "candidate_label": candidate["label"],
@@ -795,20 +777,27 @@ def _backend_gate(
     }
 
 
-def _backend_gates(
-    rows: List[Dict[str, Any]], sizes: Sequence[int], threshold: float
+def _size_gates(
+    kind: str,
+    rows: List[Dict[str, Any]],
+    sizes: Sequence[int],
+    baseline_label: str,
+    candidate_label: str,
+    name: str,
+    threshold: float,
 ) -> List[Dict[str, Any]]:
-    """One gate per size comparing the arena headline ast-dme row against the
-    object identity row.  Identity is demanded everywhere; the speed-up
-    threshold only at the largest size (small runs are noise-bound)."""
+    """One :func:`_pair_gate` per size from ``%d`` label patterns.  Identity
+    is demanded everywhere; the speed-up threshold only at the largest size
+    (small runs are noise-bound)."""
     by_label = {row["label"]: row for row in rows}
     gates: List[Dict[str, Any]] = []
     largest = max(sizes)
     for n in sizes:
-        gate = _backend_gate(
-            by_label.get("ast-dme-object-n%d" % n),
-            by_label.get("ast-dme-n%d" % n),
-            "ast-dme-backend-n%d" % n,
+        gate = _pair_gate(
+            kind,
+            by_label.get(baseline_label % n),
+            by_label.get(candidate_label % n),
+            name % n,
             threshold if n == largest else 0.0,
         )
         if gate is not None:
@@ -844,13 +833,16 @@ def _large_gates(
         )
     by_label = {row["label"]: row for row in rows}
     n = min(sizes)
-    gate = _backend_gate(
+    gate = _pair_gate(
+        "backend",
         by_label.get("ast-dme-large-object-n%d" % n),
         by_label.get("ast-dme-large-n%d" % n),
         "ast-dme-backend-large-n%d" % n,
-        # The large identity row exists precisely where the arena core wins
-        # big; demand the speed-up outside smoke mode.
-        0.0 if smoke else GATE_BACKEND_SPEEDUP,
+        # Identity only: with the split scan shared by both loops (schema v8)
+        # the arena's lead here measured 1.1-1.5x between runs, too close to
+        # the noise for a wall-clock threshold; the speed-up half binds at
+        # the scaling suite's largest size.
+        0.0,
     )
     if gate is not None:
         gates.append(gate)

@@ -133,7 +133,10 @@ def route_arena(
             return
         tightest = float(bounds[present[i]].min())
         budget = config.sdr_skew_budget * tightest
-        split = resolve_split(p, target_row, r, c, budget)
+        split = resolve_split(
+            p.locus_a, p.locus_b, p.distance, p.cap_a, p.cap_b, p.balance_split,
+            target_row, r, c, budget,
+        )
         d = p.distance
         split_c = min(max(split, 0.0), d)
         ea = max(split_c, 0.0)

@@ -8,7 +8,9 @@
    whether the subtrees share sink groups and produces the new root's
    placement locus, the two wire lengths (possibly snaked) and the merged
    per-group delay intervals.  Merging continues until one subtree remains,
-   which is then connected to the clock source.
+   which is then connected to the clock source.  The object form of this
+   loop is :func:`merge_subtrees`, which the ECO engine
+   (:mod:`repro.eco.engine`) runs over its dirty cone as well.
 2. *Top-down embedding.*  Concrete locations are chosen for every internal
    node (:func:`repro.cts.embedding.embed_tree`); booked wire lengths are
    never changed, so all delays and skews decided bottom-up are preserved.
@@ -26,21 +28,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.config import OptConfig
     from repro.opt.report import OptReport
 
-from repro.circuits.instance import ClockInstance
+from repro.circuits.instance import ClockInstance, Sink
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
 from repro.core.lazy_sdr import make_pending, resolve_pending
 from repro.core.merge_cases import DISJOINT, MergeDecision, plan_merge
-from repro.core.merging_order import MergeOrderPolicy
+from repro.core.merging_order import MergeOrderPolicy, check_neighbor_strategy
 from repro.core.subtree import Subtree
 from repro.cts.embedding import embed_tree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
+from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.obs.trace import get_tracer
 
@@ -51,6 +54,8 @@ __all__ = [
     "AstDme",
     "TREE_BACKENDS",
     "ARENA_MAX_GROUPS",
+    "add_sink_stub",
+    "merge_subtrees",
 ]
 
 #: Supported tree-core backends.
@@ -77,10 +82,9 @@ class AstDmeConfig:
     delay_target_weight: float = 0.0
     #: KD-tree candidates examined per subtree during pair selection.
     neighbor_candidates: int = 8
-    #: Neighbour-candidate engine: "incremental" (maintained index, default),
-    #: "rebuild" (vectorised, stateless per pass) or "scalar" (the seed
-    #: per-pair reference).  All strategies select identical merge pairs; see
-    #: docs/performance.md.
+    #: Neighbour-candidate engine: "incremental" (maintained index, default)
+    #: or "scalar" (the seed per-pair reference).  Both select identical merge
+    #: pairs; see docs/performance.md.
     neighbor_strategy: str = "incremental"
     #: Fraction of candidate lists a pass may invalidate before the
     #: incremental strategy falls back to a full rebuild.
@@ -106,6 +110,7 @@ class AstDmeConfig:
     tree_backend: str = "arena"
 
     def __post_init__(self) -> None:
+        check_neighbor_strategy(self.neighbor_strategy)
         if self.tree_backend not in TREE_BACKENDS:
             raise ValueError(
                 "unknown tree_backend %r; expected one of %s"
@@ -146,7 +151,7 @@ class MergeStats:
     #: materialising the ClockTree).
     embed_seconds: float = 0.0
     #: Full neighbour-index rebuilds / incremental repairs (incremental
-    #: strategy only; both stay 0 for the stateless strategies).
+    #: strategy only; both stay 0 for the scalar strategy).
     neighbor_full_rebuilds: int = 0
     neighbor_incremental_passes: int = 0
     #: Extra wire added at embedding time to route around blockages (0 for
@@ -220,118 +225,26 @@ class AstDme:
 
             return route_arena(self, instance, single_group)
         start = time.perf_counter()
-        tech = instance.technology
         constraints = self._constraints or self.config.constraints()
-        policy = self.config.order_policy()
-
-        tree = ClockTree(technology=tech)
+        tree = ClockTree(technology=instance.technology)
         loci: Dict[int, Trr] = {}
-        subtrees: List[Subtree] = []
-        for sink in instance.sinks:
-            node_id = tree.add_sink(
-                location=sink.location,
-                sink_cap=sink.cap,
-                group=sink.group,
-                name="sink-%d" % sink.sink_id,
-            )
-            routing_group = 0 if single_group else sink.group
-            subtrees.append(
-                Subtree.for_sink(
-                    node_id=node_id,
-                    locus=Trr.from_point(sink.location),
-                    cap=sink.cap,
-                    group=routing_group,
-                )
-            )
-
-        stats = MergeStats()
-        association = GroupAssociation(instance.groups())
-        selector = policy.make_selector()
-
-        tracer = get_tracer()
-        while len(subtrees) > 1:
-            with tracer.span(
-                "dme.pass", index=stats.passes, subtrees=len(subtrees)
-            ) as pass_span:
-                select_start = time.perf_counter()
-                with tracer.span("dme.select"):
-                    pairs = selector.pairs_for_pass(subtrees)
-                stats.select_seconds += time.perf_counter() - select_start
-                if not pairs:
-                    raise RuntimeError("merging-order policy returned no pairs")
-                stats.passes += 1
-                pass_span.set(pairs=len(pairs))
-                merge_start = time.perf_counter()
-                with tracer.span("dme.merge") as merge_span:
-                    merged_indices = set()
-                    new_subtrees: List[Subtree] = []
-                    for index_a, index_b in pairs:
-                        sub_a = subtrees[index_a]
-                        sub_b = subtrees[index_b]
-                        # Spend any deferred cross-group freedom now that the
-                        # next merge partner is known (see repro.core.lazy_sdr).
-                        resolve_pending(
-                            sub_a, sub_b.locus, tech, tree, loci,
-                            max_deviation=self._skew_budget(sub_a, constraints),
-                        )
-                        resolve_pending(
-                            sub_b, sub_a.locus, tech, tree, loci,
-                            max_deviation=self._skew_budget(sub_b, constraints),
-                        )
-                        decision = plan_merge(
-                            sub_a,
-                            sub_b,
-                            constraints,
-                            tech,
-                            allow_snaking=self.config.allow_snaking,
-                        )
-                        node_id = tree.add_internal(
-                            children=[sub_a.node_id, sub_b.node_id],
-                            edge_lengths=[decision.edges.ea, decision.edges.eb],
-                        )
-                        loci[node_id] = decision.locus
-                        merged_subtree = Subtree(
-                            node_id=node_id,
-                            locus=decision.locus,
-                            cap=decision.cap,
-                            delays=decision.delays,
-                            num_sinks=sub_a.num_sinks + sub_b.num_sinks,
-                        )
-                        if decision.case == DISJOINT and not decision.edges.snaked:
-                            merged_subtree.pending = make_pending(
-                                sub_a, sub_b, decision.edges.distance, decision.edges.ea
-                            )
-                        new_subtrees.append(merged_subtree)
-                        stats.record(decision)
-                        self._record_association(association, sub_a, sub_b)
-                        merged_indices.add(index_a)
-                        merged_indices.add(index_b)
-                    subtrees = [
-                        s for i, s in enumerate(subtrees) if i not in merged_indices
-                    ] + new_subtrees
-                    merge_span.add("nodes_merged", len(merged_indices))
-                stats.merge_seconds += time.perf_counter() - merge_start
-
-        root_subtree = subtrees[0]
-        resolve_pending(
-            root_subtree,
-            Trr.from_point(instance.source),
-            tech,
+        subtrees = [add_sink_stub(tree, sink, single_group) for sink in instance.sinks]
+        stats, association = merge_subtrees(
+            subtrees,
             tree,
             loci,
-            max_deviation=self._skew_budget(root_subtree, constraints),
+            instance.source,
+            instance.groups(),
+            self.config,
+            constraints,
         )
-        source_edge = root_subtree.locus.distance_to_point(instance.source)
-        tree.add_source(instance.source, root_subtree.node_id, source_edge)
 
         obstacles = instance.obstacle_set() if instance.has_obstacles else None
         embed_start = time.perf_counter()
-        with tracer.span("dme.embed") as embed_span:
+        with get_tracer().span("dme.embed") as embed_span:
             stats.obstacle_detour = embed_tree(tree, loci, obstacles=obstacles)
             embed_span.add("obstacle_detour", stats.obstacle_detour)
         stats.embed_seconds += time.perf_counter() - embed_start
-        stats.neighbor_full_rebuilds = selector.full_rebuilds
-        stats.neighbor_incremental_passes = selector.incremental_passes
 
         opt_report = self._run_opt(tree, constraints, obstacles, loci, single_group)
 
@@ -380,30 +293,163 @@ class AstDme:
             single_group=single_group,
         )
 
-    def _skew_budget(self, subtree: Subtree, constraints: SkewConstraints) -> float:
-        """Delay deviation a lazy resolution of ``subtree`` may spend.
 
-        The budget is a fraction of the tightest intra-group bound among the
-        groups present in the subtree, so that two independently-resolved
-        commitments of the same group pair can still be reconciled within the
-        bound when their subtrees later merge.
-        """
-        # Iterate the delays dict directly: same group set as subtree.groups
-        # without materialising a frozenset on this hot path.
-        tightest = min(constraints.bound_for(group) for group in subtree.delays)
-        return self.config.sdr_skew_budget * tightest
+# ----------------------------------------------------------------------
+def add_sink_stub(tree: ClockTree, sink: Sink, single_group: bool) -> Subtree:
+    """Add ``sink`` to ``tree`` as ``sink-<id>`` and return its one-node subtree.
 
-    @staticmethod
-    def _record_association(
-        association: GroupAssociation, sub_a: Subtree, sub_b: Subtree
-    ) -> None:
-        """Record that every group of ``sub_a`` is now associated with those of ``sub_b``."""
-        groups_a = sorted(sub_a.groups)
-        groups_b = sorted(sub_b.groups)
-        if not groups_a or not groups_b:
-            return
-        anchor = groups_a[0]
-        for group in groups_a[1:]:
-            association.associate(anchor, group)
-        for group in groups_b:
-            association.associate(anchor, group)
+    With ``single_group`` the subtree routes in group 0 while the tree node
+    keeps the sink's own group, so skew reports stay comparable.
+    """
+    node_id = tree.add_sink(
+        location=sink.location,
+        sink_cap=sink.cap,
+        group=sink.group,
+        name="sink-%d" % sink.sink_id,
+    )
+    return Subtree.for_sink(
+        node_id=node_id,
+        locus=Trr.from_point(sink.location),
+        cap=sink.cap,
+        group=0 if single_group else sink.group,
+    )
+
+
+def merge_subtrees(
+    subtrees: List[Subtree],
+    tree: ClockTree,
+    loci: Dict[int, Trr],
+    source: Point,
+    groups: List[int],
+    config: AstDmeConfig,
+    constraints: SkewConstraints,
+) -> Tuple[MergeStats, GroupAssociation]:
+    """The object bottom-up loop: merge ``subtrees`` into one, then add the source.
+
+    Shared by :meth:`AstDme.route` (one sink stub per sink) and
+    :func:`repro.eco.engine.eco_reroute` (frontier stubs plus fresh sinks).
+    Every pass selects disjoint pairs with ``config``'s merging-order policy,
+    resolves their pending splits towards each other, plans each merge and
+    adds its node to ``tree`` (recording the placement locus in ``loci``).
+    The last subtree's pending split is resolved towards ``source`` before
+    the source is connected.  Returns the merge statistics (embedding fields
+    still zero) and the group association over ``groups``.
+    """
+    tech = tree.technology
+    stats = MergeStats()
+    association = GroupAssociation(groups)
+    # A stub may already span several groups (an ECO frontier subtree).
+    for sub in subtrees:
+        present = sorted(sub.delays)
+        for group in present[1:]:
+            association.associate(present[0], group)
+    selector = config.order_policy().make_selector()
+
+    def budget(sub: Subtree) -> float:
+        return _skew_budget(sub, constraints, config.sdr_skew_budget)
+
+    tracer = get_tracer()
+    while len(subtrees) > 1:
+        with tracer.span(
+            "dme.pass", index=stats.passes, subtrees=len(subtrees)
+        ) as pass_span:
+            select_start = time.perf_counter()
+            with tracer.span("dme.select"):
+                pairs = selector.pairs_for_pass(subtrees)
+            stats.select_seconds += time.perf_counter() - select_start
+            if not pairs:
+                raise RuntimeError("merging-order policy returned no pairs")
+            stats.passes += 1
+            pass_span.set(pairs=len(pairs))
+            merge_start = time.perf_counter()
+            with tracer.span("dme.merge") as merge_span:
+                merged_indices = set()
+                new_subtrees: List[Subtree] = []
+                for index_a, index_b in pairs:
+                    sub_a = subtrees[index_a]
+                    sub_b = subtrees[index_b]
+                    # Spend any deferred cross-group freedom now that the
+                    # next merge partner is known (see repro.core.lazy_sdr).
+                    resolve_pending(
+                        sub_a, sub_b.locus, tech, tree, loci, max_deviation=budget(sub_a)
+                    )
+                    resolve_pending(
+                        sub_b, sub_a.locus, tech, tree, loci, max_deviation=budget(sub_b)
+                    )
+                    decision = plan_merge(
+                        sub_a,
+                        sub_b,
+                        constraints,
+                        tech,
+                        allow_snaking=config.allow_snaking,
+                    )
+                    node_id = tree.add_internal(
+                        children=[sub_a.node_id, sub_b.node_id],
+                        edge_lengths=[decision.edges.ea, decision.edges.eb],
+                    )
+                    loci[node_id] = decision.locus
+                    merged_subtree = Subtree(
+                        node_id=node_id,
+                        locus=decision.locus,
+                        cap=decision.cap,
+                        delays=decision.delays,
+                        num_sinks=sub_a.num_sinks + sub_b.num_sinks,
+                    )
+                    if decision.case == DISJOINT and not decision.edges.snaked:
+                        merged_subtree.pending = make_pending(
+                            sub_a, sub_b, decision.edges.distance, decision.edges.ea
+                        )
+                    new_subtrees.append(merged_subtree)
+                    stats.record(decision)
+                    _record_association(association, sub_a, sub_b)
+                    merged_indices.add(index_a)
+                    merged_indices.add(index_b)
+                subtrees = [
+                    s for i, s in enumerate(subtrees) if i not in merged_indices
+                ] + new_subtrees
+                merge_span.add("nodes_merged", len(merged_indices))
+            stats.merge_seconds += time.perf_counter() - merge_start
+
+    root_subtree = subtrees[0]
+    resolve_pending(
+        root_subtree,
+        Trr.from_point(source),
+        tech,
+        tree,
+        loci,
+        max_deviation=budget(root_subtree),
+    )
+    source_edge = root_subtree.locus.distance_to_point(source)
+    tree.add_source(source, root_subtree.node_id, source_edge)
+    stats.neighbor_full_rebuilds = selector.full_rebuilds
+    stats.neighbor_incremental_passes = selector.incremental_passes
+    return stats, association
+
+
+def _skew_budget(subtree: Subtree, constraints: SkewConstraints, fraction: float) -> float:
+    """Delay deviation a lazy resolution of ``subtree`` may spend.
+
+    The budget is a fraction of the tightest intra-group bound among the
+    groups present in the subtree, so that two independently-resolved
+    commitments of the same group pair can still be reconciled within the
+    bound when their subtrees later merge.
+    """
+    # Iterate the delays dict directly: same group set as subtree.groups
+    # without materialising a frozenset on this hot path.
+    tightest = min(constraints.bound_for(group) for group in subtree.delays)
+    return fraction * tightest
+
+
+def _record_association(
+    association: GroupAssociation, sub_a: Subtree, sub_b: Subtree
+) -> None:
+    """Record that every group of ``sub_a`` is now associated with those of ``sub_b``."""
+    groups_a = sorted(sub_a.groups)
+    groups_b = sorted(sub_b.groups)
+    if not groups_a or not groups_b:
+        return
+    anchor = groups_a[0]
+    for group in groups_a[1:]:
+        association.associate(anchor, group)
+    for group in groups_b:
+        association.associate(anchor, group)

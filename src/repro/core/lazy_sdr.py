@@ -12,7 +12,8 @@ an unconstrained merge -- how much of the corridor lies on each side -- is
 recorded as *pending* instead of being committed.  The pending split is
 resolved lazily, at the moment the merged subtree is about to participate in
 its next merge, by choosing the split whose placement locus is closest to the
-new partner (ties broken towards the delay-balanced split).  Because the two
+new partner (ties broken towards the delay-balanced split; the corridor scan
+is :func:`repro.core.merge_batch.resolve_split`).  Because the two
 sides of an unconstrained merge share no sink group, re-choosing the split
 shifts every group on one side rigidly and can never violate an intra-group
 constraint; the total wire of the pending merge is the corridor length for
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.merge_batch import resolve_split
 from repro.core.subtree import Subtree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
@@ -116,6 +118,8 @@ def resolution_for_target(
 ) -> float:
     """The split bringing the pending merge's locus closest to ``target``.
 
+    The scalar reference of :func:`repro.core.merge_batch.resolve_split`,
+    which every router path uses; this loop is kept as its test oracle.
     Only splits whose delay shift relative to the balanced split stays within
     ``max_deviation`` (the useful-skew budget) are considered; the balanced
     split itself always qualifies, so the search never comes back empty.  The
@@ -166,10 +170,25 @@ def resolve_pending(
     if target is None:
         split = pending.balance_split
     else:
-        split = resolution_for_target(pending, target, tech, max_deviation)
+        split = resolve_split(
+            _row(pending.locus_a),
+            _row(pending.locus_b),
+            pending.distance,
+            pending.cap_a,
+            pending.cap_b,
+            pending.balance_split,
+            _row(target),
+            tech.unit_resistance,
+            tech.unit_capacitance,
+            max_deviation,
+        )
     subtree.locus = pending.locus_at(split)
     subtree.delays = pending.delays_at(split, tech)
     tree.set_edge_length(pending.child_a_id, split)
     tree.set_edge_length(pending.child_b_id, pending.distance - split)
     loci[subtree.node_id] = subtree.locus
     subtree.pending = None
+
+
+def _row(trr: Trr) -> Tuple[float, float, float, float]:
+    return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)

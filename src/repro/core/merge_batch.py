@@ -3,7 +3,9 @@
 This module is the batched counterpart of :mod:`repro.core.merge_cases`,
 :mod:`repro.core.balancing` and :mod:`repro.core.lazy_sdr`: the same
 arithmetic, evaluated over whole arrays of candidate pairs at once.  It backs
-the ``tree_backend="arena"`` construction loop (:mod:`repro.core.arena_dme`).
+the ``tree_backend="arena"`` construction loop (:mod:`repro.core.arena_dme`);
+its corridor scan ``resolve_split`` is also the split search of the object
+loop (:func:`repro.core.lazy_sdr.resolve_pending`).
 
 Bit identity is a hard requirement, not an aspiration: the arena backend must
 produce float-for-float the same trees as the object backend, which the bench
@@ -303,15 +305,27 @@ def plan_merges(
 
 
 def resolve_split(
-    pending: ArenaPending,
-    target_row: np.ndarray,
+    locus_a,
+    locus_b,
+    distance: float,
+    cap_a: float,
+    cap_b: float,
+    balance: float,
+    target_row,
     r: float,
     c: float,
     max_deviation: float,
 ) -> float:
-    """Vectorized :func:`repro.core.lazy_sdr.resolution_for_target`.
+    """The lazy split of a pending merge chosen towards ``target_row``.
 
-    Scans the same ``SAMPLES`` corridor splits the scalar loop does and picks
+    The one split search of both tree backends.  ``locus_a`` / ``locus_b`` /
+    ``target_row`` are ``(ulo, uhi, vlo, vhi)`` rows (arrays or tuples) and
+    the remaining arguments are the pending merge's corridor length, child
+    capacitances and delay-balanced split.
+    :func:`repro.core.lazy_sdr.resolution_for_target` is its scalar test
+    oracle.
+
+    Scans the same ``SAMPLES`` corridor splits the scalar oracle does and picks
     the identical winner under the key ``(round(distance_to_target, 6),
     abs(split - balance_split))`` with first-sample-wins ties.  Python's
     ``round`` is monotone, so the minimal rounded distance is the rounding of
@@ -319,10 +333,9 @@ def resolve_split(
     share that rounded value, and just those few are re-rounded with Python's
     ``round`` to reproduce the scalar comparison exactly.
     """
-    d = pending.distance
+    d = distance
     if d <= 0.0:
         return 0.0
-    balance = pending.balance_split
 
     # Sample 0 is the balanced split itself so its target distance comes from
     # the same elementwise expressions as the candidates'.
@@ -333,8 +346,8 @@ def resolve_split(
     clamped = np.minimum(np.maximum(splits, 0.0), d)
     ea = np.maximum(clamped, 0.0)
     eb = np.maximum(d - clamped, 0.0)
-    la = pending.locus_a
-    lb = pending.locus_b
+    la = locus_a
+    lb = locus_b
     ulo = np.maximum(la[0] - ea, lb[0] - eb)
     uhi = np.minimum(la[1] + ea, lb[1] + eb)
     vlo = np.maximum(la[2] - ea, lb[2] - eb)
@@ -349,9 +362,9 @@ def resolve_split(
 
     # Deviation filter (the balanced sample always qualifies by construction).
     raw = splits[1:]
-    shift_a = np.abs(_wire_delay(raw, pending.cap_a, r, c) - _wire_delay(balance, pending.cap_a, r, c))
+    shift_a = np.abs(_wire_delay(raw, cap_a, r, c) - _wire_delay(balance, cap_a, r, c))
     shift_b = np.abs(
-        _wire_delay(d - raw, pending.cap_b, r, c) - _wire_delay(d - balance, pending.cap_b, r, c)
+        _wire_delay(d - raw, cap_b, r, c) - _wire_delay(d - balance, cap_b, r, c)
     )
     valid = np.maximum(shift_a, shift_b) <= max_deviation
 

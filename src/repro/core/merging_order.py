@@ -12,17 +12,13 @@ adopts two enhancements from earlier work (Chapter V.F), both exposed here:
 A policy turns the list of active subtrees into the list of index pairs to
 merge in the current pass; the router is agnostic to how they were chosen.
 
-Three interchangeable *neighbour strategies* implement the candidate search
-(all selecting identical pairs; see ``docs/performance.md``):
+Two interchangeable *neighbour strategies* implement the candidate search
+(both selecting identical pairs; see ``docs/performance.md``):
 
 ``incremental`` (default)
     A stateful :class:`~repro.cts.neighbor_index.NeighborIndex` maintained
     across passes: only candidate lists invalidated by the previous pass are
     recomputed, with a staleness threshold that falls back to a full rebuild.
-
-``rebuild``
-    Stateless vectorised selection: a fresh KD-tree and batch distance
-    kernels every pass.
 
 ``scalar``
     The seed per-pair reference implementation (KD-tree rebuilt every pass,
@@ -43,10 +39,29 @@ from repro.core.subtree import Subtree
 from repro.cts.neighbor_index import NeighborIndex
 from repro.cts.nearest_neighbor import select_merge_pairs
 
-__all__ = ["MergeOrderPolicy", "MergePairSelector", "NEIGHBOR_STRATEGIES"]
+__all__ = [
+    "MergeOrderPolicy",
+    "MergePairSelector",
+    "NEIGHBOR_STRATEGIES",
+    "check_neighbor_strategy",
+]
 
 #: Supported neighbour-candidate strategies.
-NEIGHBOR_STRATEGIES = ("incremental", "rebuild", "scalar")
+NEIGHBOR_STRATEGIES = ("incremental", "scalar")
+
+
+def check_neighbor_strategy(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a supported neighbour strategy."""
+    if name == "rebuild":
+        raise ValueError(
+            "neighbor_strategy 'rebuild' has been removed; use 'incremental', "
+            "which selects identical merge pairs and routes identical trees"
+        )
+    if name not in NEIGHBOR_STRATEGIES:
+        raise ValueError(
+            "unknown neighbor_strategy %r; expected one of %s"
+            % (name, NEIGHBOR_STRATEGIES)
+        )
 
 
 @dataclass(frozen=True)
@@ -85,11 +100,7 @@ class MergeOrderPolicy:
             raise ValueError("delay_target_weight must be non-negative")
         if self.neighbor_candidates < 1:
             raise ValueError("neighbor_candidates must be at least 1")
-        if self.neighbor_strategy not in NEIGHBOR_STRATEGIES:
-            raise ValueError(
-                "unknown neighbor_strategy %r; expected one of %s"
-                % (self.neighbor_strategy, NEIGHBOR_STRATEGIES)
-            )
+        check_neighbor_strategy(self.neighbor_strategy)
         if not 0.0 <= self.staleness_threshold <= 1.0:
             raise ValueError("staleness_threshold must lie in [0, 1]")
 
@@ -179,7 +190,7 @@ class MergePairSelector:
     # ------------------------------------------------------------------
     @property
     def full_rebuilds(self) -> int:
-        """Full index rebuilds performed so far (0 for stateless strategies)."""
+        """Full index rebuilds performed so far (0 for the scalar strategy)."""
         return self._index.full_rebuilds if self._index is not None else 0
 
     @property
@@ -215,7 +226,7 @@ class MergePairSelector:
                 max_pairs=max_pairs,
                 cost_bias=bias,
                 k_candidates=policy.neighbor_candidates,
-                engine="scalar" if policy.neighbor_strategy == "scalar" else "vectorized",
+                engine="scalar",
             )
         return list(pairing.pairs)
 
@@ -246,7 +257,7 @@ class MergePairSelector:
         )
         if self._index is not None:
             pairing = self._index.select_pairs(loci_arr, node_ids, max_pairs, bias)
-        elif policy.neighbor_strategy == "scalar":
+        else:
             from repro.geometry.trr import Trr
 
             loci = [Trr(row[0], row[1], row[2], row[3]) for row in loci_arr.tolist()]
@@ -256,13 +267,5 @@ class MergePairSelector:
                 cost_bias=None if bias is None else bias.tolist(),
                 k_candidates=policy.neighbor_candidates,
                 engine="scalar",
-            )
-        else:
-            pairing = select_merge_pairs(
-                loci_arr,
-                max_pairs=max_pairs,
-                cost_bias=bias,
-                k_candidates=policy.neighbor_candidates,
-                engine="vectorized",
             )
         return list(pairing.pairs)

@@ -120,19 +120,15 @@ def query_neighbors(
     )
 
 
-def candidates_from_neighbors(
-    arr: np.ndarray, neighbors: np.ndarray, dedupe: bool = True
-) -> CandidateArrays:
+def candidates_from_neighbors(arr: np.ndarray, neighbors: np.ndarray) -> CandidateArrays:
     """Candidate pairs from per-locus neighbour index lists.
 
     ``neighbors[r]`` lists candidate partners of locus ``r`` (self-references
-    are ignored).  Enumeration order and deduplication reproduce the scalar
-    reference: scan rows in order, keep the first occurrence of each unordered
-    pair.  ``dedupe=False`` skips the duplicate removal (a pair listed by both
-    of its endpoints then appears twice): greedy selection is invariant to
-    duplicates -- the stable cost sort keeps first occurrences ahead of their
-    copies and a copy of a selected pair is skipped by the disjointness check
-    -- and the hot per-pass paths save the sort that deduplication costs.
+    are ignored); rows are scanned in order.  A pair listed by both of its
+    endpoints appears twice: greedy selection is invariant to duplicates --
+    the stable cost sort keeps first occurrences ahead of their copies and a
+    copy of a selected pair is skipped by the disjointness check -- so the
+    hot per-pass paths skip the sort that deduplication would cost.
     """
     n = len(arr)
     k = neighbors.shape[1] if neighbors.ndim > 1 else 1
@@ -143,13 +139,6 @@ def candidates_from_neighbors(
     flat_j = flat_j[keep]
     lo = np.minimum(flat_i, flat_j)
     hi = np.maximum(flat_i, flat_j)
-    if dedupe:
-        # First occurrence of each unordered pair, in original enumeration order.
-        keys = lo * np.int64(n) + hi
-        _, first = np.unique(keys, return_index=True)
-        order = np.sort(first)
-        lo = lo[order]
-        hi = hi[order]
     return CandidateArrays(dist=pair_distances(arr, lo, hi), i=lo, j=hi)
 
 
@@ -171,7 +160,7 @@ def candidate_pairs_from_array(
     if len(arr) <= exhaustive_threshold:
         return all_pairs_candidates(arr)
     _, neighbors = query_neighbors(locus_centres(arr), k_candidates)
-    return candidates_from_neighbors(arr, neighbors, dedupe=False)
+    return candidates_from_neighbors(arr, neighbors)
 
 
 def candidate_pairs(

@@ -40,7 +40,7 @@ merging loop does.  Pass ``keys=None`` to disable incremental reuse.
 The candidate *sets* produced this way are identical to a full rebuild
 (modulo exact distance ties at the ``k``-th neighbour, which cannot occur for
 generic instances), which is what keeps routing results bit-identical between
-the ``rebuild`` and ``incremental`` neighbour strategies.
+the ``incremental`` strategy and a stateless per-pass selection.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ class NeighborIndex:
         """Cached candidate lists as :class:`CandidateArrays` (no dedupe).
 
         Row-major enumeration with self-candidates dropped -- the order of
-        ``candidates_from_neighbors(..., dedupe=False)`` exactly, with the
+        ``candidates_from_neighbors`` exactly, with the
         exact distances read from the cache instead of recomputed.
         """
         n, w = self._cand_pos.shape

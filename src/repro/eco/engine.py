@@ -25,13 +25,14 @@ subtrees back in unchanged:
    the base tree through the cached arena snapshot -- so the stubs describe
    the tree *as embedded*, detour extensions and prior repairs included.
 4. *Re-merge.*  The frontier stubs plus fresh sink stubs (added, moved and
-   blockage-displaced sinks) run through the standard bottom-up DME loop --
-   the configured merging-order policy with its incremental
-   ``NeighborIndex``, lazy SDR resolution, snaking merges -- followed by the
-   usual top-down embedding.  Point loci make the merge arithmetic around
-   the frontier exact; clean nodes already carry locations so the embedding
-   never touches them (and clean edges satisfy the detour check by step 1,
-   so obstacle-aware embedding never extends them either).
+   blockage-displaced sinks) run through the router's own bottom-up loop,
+   :func:`~repro.core.ast_dme.merge_subtrees` -- the configured
+   merging-order policy with its incremental ``NeighborIndex``, lazy SDR
+   resolution, snaking merges -- followed by the usual top-down embedding.
+   Point loci make the merge arithmetic around the frontier exact; clean
+   nodes already carry locations so the embedding never touches them (and
+   clean edges satisfy the detour check by step 1, so obstacle-aware
+   embedding never extends them either).
 
 The stitched :class:`RoutingResult` carries ``max(base, rebuilt)`` as its
 ``stats.max_violation`` slack: intervals inherited from the base tree may
@@ -52,11 +53,13 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.analysis.skew import skew_report
-from repro.core.ast_dme import AstDmeConfig, MergeStats, RoutingResult
-from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.lazy_sdr import make_pending
-from repro.core.merge_batch import ArenaPending, resolve_split
-from repro.core.merge_cases import DISJOINT, plan_merge
+from repro.core.ast_dme import (
+    AstDmeConfig,
+    RoutingResult,
+    add_sink_stub,
+    merge_subtrees,
+)
+from repro.core.group_constraints import SkewConstraints
 from repro.core.subtree import Subtree
 from repro.cts.arena import SINK_KIND
 from repro.cts.embedding import embed_new_nodes
@@ -331,21 +334,7 @@ def eco_reroute(
         for sink in new_instance.sinks:
             if sink.sink_id in base_ids and sink.sink_id not in recreate:
                 continue
-            node_id = new_tree.add_sink(
-                location=sink.location,
-                sink_cap=sink.cap,
-                group=sink.group,
-                name="sink-%d" % sink.sink_id,
-            )
-            routing_group = 0 if single_group else sink.group
-            subtrees.append(
-                Subtree.for_sink(
-                    node_id=node_id,
-                    locus=Trr.from_point(sink.location),
-                    cap=sink.cap,
-                    group=routing_group,
-                )
-            )
+            subtrees.append(add_sink_stub(new_tree, sink, single_group))
 
         total_sinks = sum(sub.num_sinks for sub in subtrees)
         if total_sinks != new_instance.num_sinks:
@@ -356,90 +345,20 @@ def eco_reroute(
         stitch_span.set(frontier=len(frontier), reused=reused)
 
     # ------------------------------------------------------------------
-    # 4. Re-merge the frontier with the standard bottom-up DME loop, then
-    #    embed.  This mirrors AstDme.route's object-backend loop exactly;
-    #    the cone is small, which is the whole point of ECO.
+    # 4. Re-merge the frontier with the router's bottom-up loop, then embed
+    #    the new nodes.  The cone is small, which is the whole point of ECO.
     # ------------------------------------------------------------------
-    stats = MergeStats()
-    association = GroupAssociation(new_instance.groups())
-    for sub in subtrees:
-        groups = sorted(sub.delays)
-        for group in groups[1:]:
-            association.associate(groups[0], group)
-    selector = config.router.order_policy().make_selector()
-    budget_fraction = config.router.sdr_skew_budget
-
-    def skew_budget(sub: Subtree) -> float:
-        tightest = min(constraints.bound_for(group) for group in sub.delays)
-        return budget_fraction * tightest
-
     with tracer.span("eco.remerge") as remerge_span:
-        while len(subtrees) > 1:
-            select_start = time.perf_counter()
-            pairs = selector.pairs_for_pass(subtrees)
-            stats.select_seconds += time.perf_counter() - select_start
-            if not pairs:
-                raise RuntimeError("merging-order policy returned no pairs")
-            stats.passes += 1
-            merge_start = time.perf_counter()
-            merged_indices: Set[int] = set()
-            new_subtrees: List[Subtree] = []
-            for index_a, index_b in pairs:
-                sub_a = subtrees[index_a]
-                sub_b = subtrees[index_b]
-                _resolve_pending_fast(
-                    sub_a, sub_b.locus, tech, new_tree, new_loci,
-                    max_deviation=skew_budget(sub_a),
-                )
-                _resolve_pending_fast(
-                    sub_b, sub_a.locus, tech, new_tree, new_loci,
-                    max_deviation=skew_budget(sub_b),
-                )
-                decision = plan_merge(
-                    sub_a,
-                    sub_b,
-                    constraints,
-                    tech,
-                    allow_snaking=config.router.allow_snaking,
-                )
-                node_id = new_tree.add_internal(
-                    children=[sub_a.node_id, sub_b.node_id],
-                    edge_lengths=[decision.edges.ea, decision.edges.eb],
-                )
-                new_loci[node_id] = decision.locus
-                merged_subtree = Subtree(
-                    node_id=node_id,
-                    locus=decision.locus,
-                    cap=decision.cap,
-                    delays=decision.delays,
-                    num_sinks=sub_a.num_sinks + sub_b.num_sinks,
-                )
-                if decision.case == DISJOINT and not decision.edges.snaked:
-                    merged_subtree.pending = make_pending(
-                        sub_a, sub_b, decision.edges.distance, decision.edges.ea
-                    )
-                new_subtrees.append(merged_subtree)
-                stats.record(decision)
-                _record_association(association, sub_a, sub_b)
-                merged_indices.add(index_a)
-                merged_indices.add(index_b)
-            subtrees = [
-                s for i, s in enumerate(subtrees) if i not in merged_indices
-            ] + new_subtrees
-            stats.merge_seconds += time.perf_counter() - merge_start
+        stats, association = merge_subtrees(
+            subtrees,
+            new_tree,
+            new_loci,
+            new_instance.source,
+            new_instance.groups(),
+            config.router,
+            constraints,
+        )
         remerge_span.set(passes=stats.passes)
-
-    root_subtree = subtrees[0]
-    _resolve_pending_fast(
-        root_subtree,
-        Trr.from_point(new_instance.source),
-        tech,
-        new_tree,
-        new_loci,
-        max_deviation=skew_budget(root_subtree),
-    )
-    source_edge = root_subtree.locus.distance_to_point(new_instance.source)
-    new_tree.add_source(new_instance.source, root_subtree.node_id, source_edge)
 
     obstacles = new_instance.obstacle_set() if new_instance.has_obstacles else None
     embed_start = time.perf_counter()
@@ -448,8 +367,6 @@ def eco_reroute(
             new_tree, new_loci, obstacles=obstacles
         )
     stats.embed_seconds += time.perf_counter() - embed_start
-    stats.neighbor_full_rebuilds = selector.full_rebuilds
-    stats.neighbor_incremental_passes = selector.incremental_passes
     # Clean subtrees inherit the base's violation slack (post-detour,
     # post-repair spreads the re-merge cannot shrink); validation of the
     # stitched result must see it, exactly as it would on the base.
@@ -527,61 +444,6 @@ def preserved_subtrees_identical(
 
 
 # ----------------------------------------------------------------------
-_EMPTY_DELAYS = np.zeros((0, 2))
-_EMPTY_PRESENT = np.zeros(0, dtype=bool)
-
-
-def _trr_row(trr: Trr) -> np.ndarray:
-    return np.array([trr.ulo, trr.uhi, trr.vlo, trr.vhi])
-
-
-def _resolve_pending_fast(
-    subtree: Subtree,
-    target: Trr,
-    tech,
-    tree: ClockTree,
-    loci: Dict[int, Trr],
-    max_deviation: float,
-) -> None:
-    """:func:`repro.core.lazy_sdr.resolve_pending` with the vectorized scan.
-
-    The corridor scan dominates the ECO merge loop (the cone is small, so a
-    large share of its merges carry pending splits), so the split is chosen
-    by :func:`repro.core.merge_batch.resolve_split` -- which reproduces the
-    scalar ``resolution_for_target`` winner exactly -- and committed through
-    the same ``PendingSplit`` accessors the scalar path uses.
-    """
-    pending = subtree.pending
-    if pending is None:
-        return
-    split = resolve_split(
-        ArenaPending(
-            child_a_id=pending.child_a_id,
-            child_b_id=pending.child_b_id,
-            locus_a=_trr_row(pending.locus_a),
-            locus_b=_trr_row(pending.locus_b),
-            distance=pending.distance,
-            cap_a=pending.cap_a,
-            cap_b=pending.cap_b,
-            delays_a=_EMPTY_DELAYS,
-            delays_b=_EMPTY_DELAYS,
-            present_a=_EMPTY_PRESENT,
-            present_b=_EMPTY_PRESENT,
-            balance_split=pending.balance_split,
-        ),
-        _trr_row(target),
-        tech.unit_resistance,
-        tech.unit_capacitance,
-        max_deviation,
-    )
-    subtree.locus = pending.locus_at(split)
-    subtree.delays = pending.delays_at(split, tech)
-    tree.set_edge_length(pending.child_a_id, split)
-    tree.set_edge_length(pending.child_b_id, pending.distance - split)
-    loci[subtree.node_id] = subtree.locus
-    subtree.pending = None
-
-
 def _sink_nodes_by_id(
     tree: ClockTree, wanted: Optional[Set[int]] = None
 ) -> Dict[int, int]:
@@ -657,20 +519,6 @@ def _frontier_stub_data(
         }
         data.append((float(caps[roots[i]]), intervals, int(counts[i])))
     return data
-
-
-def _record_association(
-    association: GroupAssociation, sub_a: Subtree, sub_b: Subtree
-) -> None:
-    groups_a = sorted(sub_a.groups)
-    groups_b = sorted(sub_b.groups)
-    if not groups_a or not groups_b:
-        return
-    anchor = groups_a[0]
-    for group in groups_a[1:]:
-        association.associate(anchor, group)
-    for group in groups_b:
-        association.associate(anchor, group)
 
 
 def _repair_if_violating(

@@ -4,8 +4,8 @@ Every consumer that reports "how expensive was this?" -- ``RunResult.stats``,
 ``benchmarks/bench.py`` rows, the service's ``GET /stats`` -- goes through this
 module so the numbers mean the same thing everywhere: peak RSS is
 ``ru_maxrss`` of the *current process* (kilobytes on Linux, bytes on macOS,
-normalised here to megabytes), and wall times are ``time.perf_counter``
-differences.
+normalised here to megabytes).  Stage wall times come from
+:class:`repro.obs.trace.StageSpans`.
 
 ``ru_maxrss`` is a high-water mark: it only ever grows over the life of the
 process, so a measurement taken after a run is an upper bound that includes
@@ -18,9 +18,8 @@ sizing a deployment actually wants.
 from __future__ import annotations
 
 import sys
-import time
 
-__all__ = ["peak_rss_mb", "StageTimer"]
+__all__ = ["peak_rss_mb"]
 
 
 def peak_rss_mb() -> float:
@@ -37,38 +36,3 @@ def peak_rss_mb() -> float:
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is bytes on macOS
         return rss / (1024.0 * 1024.0)
     return rss / 1024.0  # kilobytes on Linux/BSD
-
-
-class StageTimer:
-    """Accumulates named wall-time stages into a plain ``{name: seconds}`` dict.
-
-    Usage::
-
-        timer = StageTimer()
-        with timer.stage("delay"):
-            skew = skew_report(tree)
-        timer.seconds  # {"delay": 0.0123}
-    """
-
-    def __init__(self) -> None:
-        self.seconds: dict = {}
-
-    def stage(self, name: str) -> "_Stage":
-        return _Stage(self, name)
-
-
-class _Stage:
-    def __init__(self, timer: StageTimer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_Stage":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        elapsed = time.perf_counter() - self._started
-        self._timer.seconds[self._name] = (
-            self._timer.seconds.get(self._name, 0.0) + elapsed
-        )

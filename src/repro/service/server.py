@@ -56,6 +56,7 @@ from repro.api.eco import EcoResult, EcoSpec, run_eco_safe
 from repro.api.registry import available_routers, router_description
 from repro.api.runner import run_safe
 from repro.api.spec import RunResult, RunSpec
+from repro.metrics import peak_rss_mb
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.service.cache import RunCache
 
@@ -66,12 +67,6 @@ __all__ = ["ServiceConfig", "RoutingService", "RoutingServer", "ServerThread", "
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Hard ceiling on header lines per request.
 MAX_HEADER_LINES = 100
-
-
-def _peak_rss() -> float:
-    from repro.metrics import peak_rss_mb
-
-    return peak_rss_mb()
 
 
 def _strip_trace(result):
@@ -288,7 +283,7 @@ class RoutingService:
         self.stats.registry.gauge(
             "repro_peak_rss_mb",
             "Process peak resident set size, MiB",
-            callback=_peak_rss,
+            callback=peak_rss_mb,
         )
         self._semaphore = asyncio.Semaphore(max(1, config.max_concurrency))
         # Executor threads block on the process pool / BatchRunner, so size
@@ -465,7 +460,6 @@ class RoutingService:
 
     def stats_payload(self) -> Dict[str, Any]:
         import repro
-        from repro.metrics import peak_rss_mb
 
         with self._base_lock:
             base_routings = len(self._base_routings)

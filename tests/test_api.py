@@ -676,14 +676,17 @@ class TestRunResultStats:
         assert second >= first  # a high-water mark never shrinks
 
     def test_stage_timer_accumulates(self):
-        from repro.metrics import StageTimer
+        # The runner's stage timer is StageSpans: re-entering a stage adds
+        # to its one entry instead of opening a second.
+        from repro.obs.trace import StageSpans
 
-        timer = StageTimer()
+        timer = StageSpans()
         with timer.stage("x"):
             pass
+        first = timer.seconds["x"]
         with timer.stage("x"):
             pass
-        assert timer.seconds["x"] >= 0.0
+        assert timer.seconds["x"] >= first >= 0.0
         assert set(timer.seconds) == {"x"}
 
     def test_service_stats_payload_reports_rss(self):

@@ -109,6 +109,19 @@ class TestRunEco:
             b.pop(key, None)
         assert a == b
 
+    def test_remerge_span_wraps_the_routers_dme_spans(self):
+        spec = _eco_spec()
+        base = run(spec.base, keep_tree=True).routing
+        traced = run_eco(spec, base_routing=base, trace=True)
+        by_id = {e["span_id"]: e for e in traced.trace}
+        (remerge,) = [e for e in traced.trace if e["name"] == "eco.remerge"]
+        passes = [e for e in traced.trace if e["name"] == "dme.pass"]
+        assert len(passes) == remerge["attrs"]["passes"] > 0
+        assert all(e["parent_id"] == remerge["span_id"] for e in passes)
+        for event in traced.trace:
+            if event["name"] in ("dme.select", "dme.merge"):
+                assert by_id[event["parent_id"]]["name"] == "dme.pass"
+
     def test_validation_issues_populate_issues(self):
         # An absurdly tight bound the stitched tree cannot meet globally is
         # not available per-spec, so instead check the plumbing: validate off

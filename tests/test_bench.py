@@ -27,10 +27,10 @@ class TestSuiteDefinition:
     def test_configs_cover_routers_strategies_and_scenarios(self):
         configs = scaling_configs(sizes=(500, 2000), seed=1)
         labels = {config["label"] for config in configs}
-        # 3 headline routers + 1 object-backend identity row + 3 single-merge
+        # 3 headline routers + 1 object-backend identity row + 2 single-merge
         # strategies + 3 blocked-scenario rows + 3 buffered/h-tree rows (v7),
         # per size.
-        assert len(configs) == 26
+        assert len(configs) == 24
         assert "ast-dme-n500" in labels
         assert "ast-dme-object-n2000" in labels
         assert "greedy-dme-single-scalar-n2000" in labels
@@ -66,7 +66,7 @@ class TestRunSuite:
         assert smoke_payload["sizes"] == [60]
         assert smoke_payload["large_sizes"] == []
         assert smoke_payload["service_sizes"] == []
-        assert len(smoke_payload["rows"]) == 13
+        assert len(smoke_payload["rows"]) == 12
         assert all(row["kind"] == "routing" for row in smoke_payload["rows"])
         json.dumps(smoke_payload)  # JSON-serialisable end to end
 
@@ -126,9 +126,9 @@ class TestRunSuite:
             for row in smoke_payload["rows"]
             if row["order"] == "single"
         }
-        assert set(rows) == {"scalar", "rebuild", "incremental"}
+        assert set(rows) == {"scalar", "incremental"}
         reference = rows["scalar"]
-        for strategy in ("rebuild", "incremental"):
+        for strategy in ("incremental",):
             assert rows[strategy]["wirelength"] == reference["wirelength"]
             assert rows[strategy]["global_skew_ps"] == reference["global_skew_ps"]
             assert rows[strategy]["num_nodes"] == reference["num_nodes"]

@@ -1,8 +1,16 @@
 """Tests for lazy split resolution (repro.core.lazy_sdr)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.lazy_sdr import make_pending, resolution_for_target, resolve_pending
+from repro.core.lazy_sdr import (
+    PendingSplit,
+    make_pending,
+    resolution_for_target,
+    resolve_pending,
+)
+from repro.core.merge_batch import resolve_split
 from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
@@ -121,3 +129,143 @@ class TestResolvePending:
         resolve_pending(merged, None, TECH, tree, loci)
         assert tree.node(sink_a).edge_length == pytest.approx(1000.0)
         assert tree.node(sink_b).edge_length == pytest.approx(1000.0)
+
+
+# ----------------------------------------------------------------------
+# resolve_split (the routers' corridor scan) against its scalar oracle.
+# ----------------------------------------------------------------------
+_COORD = st.integers(-3000, 3000).map(float) | st.floats(-3000.0, 3000.0)
+_WIDTH = st.sampled_from([1.0, 64.0]) | st.floats(0.0, 500.0)
+
+
+@st.composite
+def _region(draw, u, v):
+    """A point, an arc (one zero width) or a rectangle anchored at ``(u, v)``."""
+    shape = draw(st.sampled_from(["point", "arc_u", "arc_v", "rect"]))
+    width_u = draw(_WIDTH) if shape in ("arc_u", "rect") else 0.0
+    width_v = draw(_WIDTH) if shape in ("arc_v", "rect") else 0.0
+    return Trr(u, u + width_u, v, v + width_v)
+
+
+@st.composite
+def _loci(draw):
+    """Two child loci: points, arcs or rectangles; sometimes overlapping."""
+    locus_a = draw(_region(draw(_COORD), draw(_COORD)))
+    kind = draw(st.sampled_from(["apart", "overlap", "tiny"]))
+    if kind == "apart":
+        ub, vb = draw(_COORD), draw(_COORD)
+    elif kind == "overlap":  # anchored inside locus_a: a zero-length corridor
+        ub = draw(st.floats(locus_a.ulo, locus_a.uhi))
+        vb = draw(st.floats(locus_a.vlo, locus_a.vhi))
+    else:  # corridor samples closer together than the 1e-6 rounding step
+        gap = draw(st.sampled_from([1e-5, 1e-4, 3e-4]) | st.floats(0.0, 1e-3))
+        ub = locus_a.uhi + gap
+        vb = draw(st.floats(locus_a.vlo, locus_a.vhi))
+    return locus_a, draw(_region(ub, vb))
+
+
+@st.composite
+def _pending_and_target(draw):
+    locus_a, locus_b = draw(_loci())
+    distance = locus_a.distance_to(locus_b)
+    where = draw(st.sampled_from(["zero", "interior", "end"]))
+    if where == "zero":
+        balance = 0.0
+    elif where == "end":
+        balance = distance
+    else:
+        balance = distance * draw(st.floats(0.0, 1.0))
+    cap = st.sampled_from([0.0, 40.0]) | st.floats(0.0, 200.0)
+    pending = PendingSplit(
+        child_a_id=0,
+        child_b_id=1,
+        locus_a=locus_a,
+        locus_b=locus_b,
+        distance=distance,
+        cap_a=draw(cap),
+        cap_b=draw(cap),
+        delays_a={0: (0.0, 0.0)},
+        delays_b={1: (0.0, 0.0)},
+        balance_split=balance,
+    )
+    if draw(st.booleans()):
+        # On (or a rounding whisker off) the corridor: many samples tie.
+        at = balance if draw(st.booleans()) else distance * draw(st.floats(0.0, 1.0))
+        on = pending.locus_at(at)
+        nudge = draw(st.sampled_from([0.0, 2.5e-7, 5e-7, 1e-6, 1.5e-6]))
+        target = Trr(on.ulo + nudge, on.uhi + nudge, on.vlo - nudge, on.vhi - nudge)
+    else:
+        target = draw(_region(draw(_COORD), draw(_COORD)))
+    budget = draw(st.sampled_from(["zero", "finite", "inf"]))
+    if budget == "zero":
+        max_deviation = 0.0
+    elif budget == "inf":
+        max_deviation = float("inf")
+    else:  # a fraction of the largest shift any split could cause
+        widest = wire_delay(distance, max(pending.cap_a, pending.cap_b), TECH)
+        max_deviation = draw(st.floats(0.0, 1.0)) * widest
+    return pending, target, max_deviation
+
+
+def _row(trr):
+    return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)
+
+
+class TestResolveSplitOracle:
+    """``merge_batch.resolve_split`` picks the scalar oracle's split exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_pending_and_target())
+    @example(  # balance 1e-7 off the sample nearest the target: a rounded tie
+        (
+            PendingSplit(
+                child_a_id=0,
+                child_b_id=1,
+                locus_a=Trr(0.0, 0.0, 1.0, 1.0),
+                locus_b=Trr(0.0, 0.0, 0.0, 0.0),
+                distance=1.0,
+                cap_a=40.0,
+                cap_b=40.0,
+                delays_a={0: (0.0, 0.0)},
+                delays_b={1: (0.0, 0.0)},
+                balance_split=0.5 + 1e-7,
+            ),
+            Trr(0.0, 0.0, 0.5, 0.5),
+            float("inf"),
+        )
+    )
+    def test_matches_resolution_for_target(self, case):
+        pending, target, max_deviation = case
+        expected = resolution_for_target(pending, target, TECH, max_deviation)
+        got = resolve_split(
+            _row(pending.locus_a),
+            _row(pending.locus_b),
+            pending.distance,
+            pending.cap_a,
+            pending.cap_b,
+            pending.balance_split,
+            _row(target),
+            TECH.unit_resistance,
+            TECH.unit_capacitance,
+            max_deviation,
+        )
+        assert got == expected
+
+    def test_covered_corridor_ties_break_towards_balance(self):
+        _, merged, _, _ = build_pending_pair()
+        pending = merged.pending
+        # The target covers the whole corridor: every sample is at distance 0.
+        target = Trr(-5000.0, 5000.0, -5000.0, 5000.0)
+        got = resolve_split(
+            _row(pending.locus_a),
+            _row(pending.locus_b),
+            pending.distance,
+            pending.cap_a,
+            pending.cap_b,
+            pending.balance_split,
+            _row(target),
+            TECH.unit_resistance,
+            TECH.unit_capacitance,
+            float("inf"),
+        )
+        assert got == pending.balance_split == resolution_for_target(pending, target, TECH)

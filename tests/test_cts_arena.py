@@ -229,7 +229,6 @@ BACKEND_SCENARIOS = [
     ("greedy-dme", 1, "blocked", {}),
     ("ext-bst", 1, "random", {}),
     ("greedy-dme", 1, "random", {"multi_merge": False, "neighbor_strategy": "scalar"}),
-    ("greedy-dme", 1, "random", {"multi_merge": False, "neighbor_strategy": "rebuild"}),
     ("ast-dme", 8, "random", {"delay_target_weight": 0.3}),
     ("ast-dme", 8, "random", {"allow_snaking": False}),
 ]

@@ -1,11 +1,11 @@
 """Equivalence regression: every neighbour strategy routes the same trees.
 
-The ``incremental`` neighbour index and the ``rebuild`` vectorised engine are
-pure accelerations of the ``scalar`` seed reference -- routed trees must stay
-*identical* (topology exactly, delays / skews / wirelength to 1e-9).  These
-tests route the same seeded instances through all strategies and compare the
-full embedded trees, the skew reports and the wirelength totals, so any
-future drift in the fast paths fails loudly.
+The ``incremental`` neighbour index is a pure acceleration of the ``scalar``
+seed reference -- routed trees must stay *identical* (topology exactly,
+delays / skews / wirelength to 1e-9).  These tests route the same seeded
+instances through both strategies and compare the full embedded trees, the
+skew reports and the wirelength totals, so any future drift in the fast
+paths fails loudly.  The retired ``rebuild`` strategy must fail loudly too.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.skew import skew_report
+from repro.api import RunSpec, get_router, run_safe
 from repro.circuits.generator import random_instance
 from repro.circuits.grouping import intermingled_groups
 from repro.core.ast_dme import AstDme, AstDmeConfig
@@ -59,21 +60,21 @@ def configs_for(strategy: str, multi_merge: bool = True) -> AstDmeConfig:
 def test_greedy_dme_strategies_identical(seed):
     instance = random_instance("equiv-%d" % seed, num_sinks=220, seed=seed)
     reference = GreedyDme(configs_for("scalar")).route(instance)
-    for strategy in ("rebuild", "incremental"):
+    for strategy in ("incremental",):
         assert_equivalent(GreedyDme(configs_for(strategy)).route(instance), reference)
 
 
 def test_greedy_dme_single_merge_strategies_identical():
     instance = random_instance("equiv-single", num_sinks=160, seed=5)
     reference = GreedyDme(configs_for("scalar", multi_merge=False)).route(instance)
-    for strategy in ("rebuild", "incremental"):
+    for strategy in ("incremental",):
         assert_equivalent(
             GreedyDme(configs_for(strategy, multi_merge=False)).route(instance),
             reference,
         )
 
 
-@pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
+@pytest.mark.parametrize("strategy", ["incremental"])
 def test_ast_dme_strategies_identical(strategy):
     instance = intermingled_groups(
         random_instance("equiv-ast", num_sinks=200, seed=9), 6, seed=1
@@ -82,7 +83,7 @@ def test_ast_dme_strategies_identical(strategy):
     assert_equivalent(AstDme(configs_for(strategy)).route(instance), reference)
 
 
-@pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
+@pytest.mark.parametrize("strategy", ["incremental"])
 def test_ast_dme_delay_target_strategies_identical(strategy):
     """The cost-bias path (delay-target merging order) stays equivalent too."""
     instance = intermingled_groups(
@@ -96,7 +97,7 @@ def test_ast_dme_delay_target_strategies_identical(strategy):
     assert_equivalent(fast, reference)
 
 
-@pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
+@pytest.mark.parametrize("strategy", ["incremental"])
 def test_ext_bst_strategies_identical(strategy):
     instance = random_instance("equiv-bst", num_sinks=180, seed=27)
     reference = ExtBst(skew_bound_ps=10.0, config=configs_for("scalar")).route(instance)
@@ -104,3 +105,26 @@ def test_ext_bst_strategies_identical(strategy):
         ExtBst(skew_bound_ps=10.0, config=configs_for(strategy)).route(instance),
         reference,
     )
+
+
+class TestRetiredRebuildStrategy:
+    """``neighbor_strategy="rebuild"`` fails loudly and names its replacement."""
+
+    def test_get_router_rejects_rebuild(self):
+        with pytest.raises(ValueError, match="'rebuild' has been removed.*'incremental'"):
+            get_router("ast-dme", {"neighbor_strategy": "rebuild"})
+
+    def test_json_run_spec_reports_the_replacement(self):
+        spec = RunSpec.from_dict(
+            {
+                "instance": {"kind": "random", "num_sinks": 20, "seed": 1},
+                "router": {
+                    "name": "greedy-dme",
+                    "options": {"neighbor_strategy": "rebuild"},
+                },
+            }
+        )
+        result = run_safe(spec)
+        assert result.error is not None
+        assert result.error.startswith("ValueError")
+        assert "'incremental'" in result.error.splitlines()[0]

@@ -202,6 +202,50 @@ class TestStageSpans:
         assert stages.seconds["k"] >= 0.0
         assert len(get_tracer().events()) == before
 
+    def test_reentry_adds_to_the_first_measurement(self):
+        stages = StageSpans()
+        with stages.stage("x"):
+            pass
+        first = stages.seconds["x"]
+        with stages.stage("x"):
+            sum(range(1000))
+        assert stages.seconds["x"] > first
+        assert set(stages.seconds) == {"x"}
+
+    def test_nested_stages_overlap(self):
+        stages = StageSpans()
+        with stages.stage("outer"):
+            with stages.stage("inner"):
+                sum(range(1000))
+        assert set(stages.seconds) == {"outer", "inner"}
+        # The outer stage's wall time covers the inner stage entirely.
+        assert stages.seconds["outer"] >= stages.seconds["inner"] > 0.0
+
+    def test_records_when_the_stage_raises(self):
+        stages = StageSpans()
+        with get_tracer().session() as session:
+            with pytest.raises(RuntimeError):
+                with stages.stage("x", "run.x"):
+                    raise RuntimeError("boom")
+        assert stages.seconds["x"] >= 0.0
+        (event,) = session.events
+        assert event["seconds"] == stages.seconds["x"]
+
+    def test_threads_share_one_dict_safely(self):
+        stages = StageSpans()
+
+        def work():
+            for _ in range(50):
+                with stages.stage(threading.current_thread().name):
+                    pass
+
+        threads = [threading.Thread(target=work, name="t%d" % i) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert set(stages.seconds) == {"t0", "t1", "t2", "t3"}
+
 
 # ----------------------------------------------------------------------
 # Traced runs through the api facade
