@@ -99,8 +99,10 @@ __all__ = [
 #: wirelength ratio ceiling versus ast-dme) gates;
 #: v8 drops the ``greedy-dme-single-rebuild`` rows (the retired ``rebuild``
 #: neighbour strategy) and the speedup gates' ``identity_label`` key -- the
-#: scalar == incremental identity still binds.
-SCHEMA = "repro-bench/v8"
+#: scalar == incremental identity still binds;
+#: v9 adds the ``merge_seconds`` / ``max_merge_seconds`` keys of the large
+#: suite's ``resource`` gates (a per-stage ceiling on the merge loop).
+SCHEMA = "repro-bench/v9"
 
 #: The suites ``repro bench --suite`` can run.
 SUITES = ("scaling", "large", "service", "eco", "all")
@@ -132,6 +134,14 @@ GATE_BACKEND_SPEEDUP = 1.25
 #: count.  Measured arena walls are ~5.7s at 50k and ~30s at 200k on the
 #: reference machine; the ceilings leave ~4x headroom for slower CI hosts.
 LARGE_WALL_LIMITS = {50000: 30.0, 200000: 150.0}
+
+#: Merge-stage ceilings (seconds) of the large-suite resource gates, per sink
+#: count, so a slower merge loop fails even while the wall ceiling still
+#: holds.  Measured ast-dme merge stages are ~0.6s at 50k and ~2.1s at 200k
+#: on the reference machine (they were ~5s and ~20s while lazy splits were
+#: resolved one subtree at a time); the ceilings leave ~4x headroom, like the
+#: wall ceilings.
+LARGE_MERGE_LIMITS = {50000: 2.5, 200000: 10.0}
 
 #: Peak-RSS ceilings (MB) of the large-suite resource gates, per sink count.
 #: Measured peaks are ~210MB at 50k and ~590MB at 200k (~2.5x headroom).
@@ -217,7 +227,8 @@ SPEEDUP_GATE_KEYS = BACKEND_GATE_KEYS
 RESOURCE_GATE_KEYS = frozenset(
     {
         "kind", "name", "row_label", "wall_seconds", "max_wall_seconds",
-        "peak_rss_mb", "max_peak_rss_mb", "passed",
+        "merge_seconds", "max_merge_seconds", "peak_rss_mb", "max_peak_rss_mb",
+        "passed",
     }
 )
 
@@ -808,29 +819,33 @@ def _size_gates(
 def _large_gates(
     rows: List[Dict[str, Any]], sizes: Sequence[int], smoke: bool
 ) -> List[Dict[str, Any]]:
-    """The large-suite gates: per-row wall/RSS ceilings (waived under
-    ``--smoke``, where only completion gates) plus the arena-vs-object
+    """The large-suite gates: per-row wall/merge-stage/RSS ceilings (waived
+    under ``--smoke``, where only completion gates) plus the arena-vs-object
     identity gate at the smallest size."""
     gates: List[Dict[str, Any]] = []
     for row in rows:
         if row["tree_backend"] != "arena":
             continue
-        max_wall = 0.0 if smoke else LARGE_WALL_LIMITS.get(row["num_sinks"], 0.0)
-        max_rss = 0.0 if smoke else LARGE_RSS_LIMITS.get(row["num_sinks"], 0.0)
-        within_wall = max_wall == 0.0 or row["wall_seconds"] <= max_wall
-        within_rss = max_rss == 0.0 or row["peak_rss_mb"] <= max_rss
-        gates.append(
-            {
-                "kind": "resource",
-                "name": "resource-%s" % row["label"],
-                "row_label": row["label"],
-                "wall_seconds": row["wall_seconds"],
-                "max_wall_seconds": max_wall,
-                "peak_rss_mb": row["peak_rss_mb"],
-                "max_peak_rss_mb": max_rss,
-                "passed": row["ok"] and within_wall and within_rss,
-            }
-        )
+        limits = [
+            (key, 0.0 if smoke else table.get(row["num_sinks"], 0.0))
+            for key, table in (
+                ("wall_seconds", LARGE_WALL_LIMITS),
+                ("merge_seconds", LARGE_MERGE_LIMITS),
+                ("peak_rss_mb", LARGE_RSS_LIMITS),
+            )
+        ]
+        gate = {
+            "kind": "resource",
+            "name": "resource-%s" % row["label"],
+            "row_label": row["label"],
+            "passed": row["ok"],
+        }
+        for key, limit in limits:
+            gate[key] = row[key]
+            gate["max_" + key] = limit
+            if limit and row[key] > limit:
+                gate["passed"] = False
+        gates.append(gate)
     by_label = {row["label"]: row for row in rows}
     n = min(sizes)
     gate = _pair_gate(
@@ -1244,6 +1259,11 @@ def validate_bench_payload(payload: Any) -> None:
             )
 
 
+def _ceiling_text(bound: float, fmt: str) -> str:
+    """A resource gate's ceiling as printed (a zero ceiling is waived)."""
+    return "(<= %s)" % (fmt % bound) if bound else "(waived)"
+
+
 def format_rows(payload: Dict[str, Any], profile: bool = False) -> str:
     """A human-readable table of a bench payload (what ``repro bench`` prints).
 
@@ -1352,24 +1372,16 @@ def format_rows(payload: Dict[str, Any], profile: bool = False) -> str:
             )
             continue
         if gate["kind"] == "resource":
-            wall_limit = (
-                "(<= %.0fs)" % gate["max_wall_seconds"]
-                if gate["max_wall_seconds"]
-                else "(waived)"
-            )
-            rss_limit = (
-                "(<= %.0fMB)" % gate["max_peak_rss_mb"]
-                if gate["max_peak_rss_mb"]
-                else "(waived)"
-            )
             lines.append(
-                "gate %-31s wall %.1fs %s  rss %.0fMB %s  %s"
+                "gate %-31s wall %.1fs %s  merge %.1fs %s  rss %.0fMB %s  %s"
                 % (
                     gate["name"],
                     gate["wall_seconds"],
-                    wall_limit,
+                    _ceiling_text(gate["max_wall_seconds"], "%.0fs"),
+                    gate["merge_seconds"],
+                    _ceiling_text(gate["max_merge_seconds"], "%.1fs"),
                     gate["peak_rss_mb"],
-                    rss_limit,
+                    _ceiling_text(gate["max_peak_rss_mb"], "%.0fMB"),
                     "PASS" if gate["passed"] else "FAIL",
                 )
             )

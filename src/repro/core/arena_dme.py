@@ -20,10 +20,18 @@ State layout (``m`` active subtrees, ``G`` dense routing groups):
 ``delays`` / ``present``
     ``(m, G, 2)`` per-group delay intervals with a ``(m, G)`` presence mask
     (rows are zero and never read where the mask is False).
-``pending``
-    Python list of :class:`~repro.core.merge_batch.ArenaPending` (or None):
-    lazily-resolved splits of unconstrained merges, exactly mirroring
-    :mod:`repro.core.lazy_sdr`.
+``pend_slot`` / ``pend_geo`` / ``pend_side_a`` / ``pend_base``
+    The lazily-resolved splits of unconstrained merges, exactly mirroring
+    :class:`repro.core.lazy_sdr.PendingSplit`.  ``pend_slot`` is ``(m,)``:
+    each active subtree's entry in the pending table, or -1.  The table
+    holds one entry per pending subtree: a ``(k, 12)`` row ``locus_a,
+    locus_b, distance, cap_a, cap_b, balance_split`` (columns ``_LA`` ...
+    ``_BAL``), and the children's unshifted delay intervals folded into one
+    ``(k, G, 2)`` array with a ``(k, G)`` mask of the groups that came from
+    child a (the two sides share no group).  Each pass resolves the pending
+    subtrees it merges in two :func:`~repro.core.merge_batch.resolve_splits`
+    calls: every pending a-side towards its partner, then every pending
+    b-side towards the updated a-side.
 
 The finished tree accumulates in flat arrays (``child_a``/``child_b``/
 ``parent``/``edge``/``loci``) indexed by node id -- sinks ``0..n-1``,
@@ -37,18 +45,18 @@ so detour behaviour is shared, not duplicated.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
 from repro.circuits.instance import ClockInstance
 from repro.core.group_constraints import GroupAssociation
 from repro.core.merge_batch import (
-    ArenaPending,
     CASE_LABELS,
     DISJOINT_CODE,
+    merge_loci,
     plan_merges,
-    resolve_split,
+    resolve_splits,
 )
 from repro.cts.embedding import embed_tree
 from repro.obs.trace import get_tracer
@@ -61,7 +69,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["route_arena"]
 
-_EPS = 1e-9  # Trr intersection tolerance (repro.geometry.trr._EPS)
+# Columns of the pending-split rows (``pend_geo``).
+_LA = slice(0, 4)
+_LB = slice(4, 8)
+_DIST = 8
+_CAP_A = 9
+_CAP_B = 10
+_BAL = 11
+_PEND_COLUMNS = 12
+
 _TOL = 1e-6  # embedding edge-length tolerance (repro.cts.embedding._TOL)
 
 
@@ -71,7 +87,7 @@ def route_arena(
     single_group: bool = False,
 ) -> "RoutingResult":
     """Route ``instance`` through the arena backend (see module docstring)."""
-    from repro.core.ast_dme import MergeStats, RoutingResult
+    from repro.core.ast_dme import MergeStats, RoutingResult, register_routing_groups
 
     config = router.config
     start = time.perf_counter()
@@ -110,7 +126,10 @@ def route_arena(
         count=n,
     )
     present[np.arange(n), sink_gidx] = True
-    pending: List[Optional[ArenaPending]] = [None] * n
+    pend_slot = np.full(n, -1, dtype=np.int64)
+    pend_geo = np.empty((0, _PEND_COLUMNS), dtype=np.float64)
+    pend_side_a = np.empty((0, num_groups), dtype=bool)
+    pend_base = np.empty((0, num_groups, 2), dtype=np.float64)
 
     # The finished tree, as flat arrays indexed by node id.
     total_nodes = 2 * n  # n sinks + (n - 1) internal nodes + 1 source
@@ -123,48 +142,42 @@ def route_arena(
 
     stats = MergeStats()
     association = GroupAssociation(instance.groups())
+    spare_classes = register_routing_groups(association, set(group_ids), n > 1)
     selector = policy.make_selector()
     want_bias = policy.delay_target_weight > 0.0
 
-    def _resolve_row(i: int, target_row: np.ndarray) -> None:
-        """Scalar mirror of :func:`repro.core.lazy_sdr.resolve_pending`."""
-        p = pending[i]
-        if p is None:
-            return
-        tightest = float(bounds[present[i]].min())
+    def _resolve(rows: np.ndarray, targets: np.ndarray) -> None:
+        """Batched mirror of :func:`repro.core.lazy_sdr.resolve_pendings`:
+        resolve the pending splits of ``rows`` towards the ``targets`` rows.
+        The rows are merged right after, so their table entries are left to
+        the next compaction."""
+        slots = pend_slot[rows]
+        geo = pend_geo[slots]
+        la = geo[:, _LA]
+        lb = geo[:, _LB]
+        d = geo[:, _DIST]
+        cap_a = geo[:, _CAP_A]
+        cap_b = geo[:, _CAP_B]
+        row_present = present[rows]
+        tightest = np.where(row_present, bounds, np.inf).min(axis=1)
         budget = config.sdr_skew_budget * tightest
-        split = resolve_split(
-            p.locus_a, p.locus_b, p.distance, p.cap_a, p.cap_b, p.balance_split,
-            target_row, r, c, budget,
+        split = resolve_splits(
+            la, lb, d, cap_a, cap_b, geo[:, _BAL], targets, r, c, budget
         )
-        d = p.distance
-        split_c = min(max(split, 0.0), d)
-        ea = max(split_c, 0.0)
-        eb = max(d - split_c, 0.0)
-        la = p.locus_a
-        lb = p.locus_b
-        ulo = max(la[0] - ea, lb[0] - eb)
-        uhi = min(la[1] + ea, lb[1] + eb)
-        vlo = max(la[2] - ea, lb[2] - eb)
-        vhi = min(la[3] + ea, lb[3] + eb)
-        if uhi < ulo - _EPS or vhi < vlo - _EPS:  # pragma: no cover - defensive
-            raise RuntimeError("pending split produced an empty locus")
-        uhi = max(uhi, ulo)
-        vhi = max(vhi, vlo)
-        loci[i, 0] = ulo
-        loci[i, 1] = uhi
-        loci[i, 2] = vlo
-        loci[i, 3] = vhi
-        delay_a = r * split_c * (c * split_c / 2.0 + p.cap_a)
-        delay_b = r * (d - split_c) * (c * (d - split_c) / 2.0 + p.cap_b)
-        row = delays[i]
-        row[:] = 0.0
-        row[p.present_a] = p.delays_a[p.present_a] + delay_a
-        row[p.present_b] = p.delays_b[p.present_b] + delay_b
-        t_edge[p.child_a_id] = split
-        t_edge[p.child_b_id] = d - split
-        t_loci[node_id[i]] = loci[i]
-        pending[i] = None
+        split_c = np.minimum(np.maximum(split, 0.0), d)
+        loci[rows] = merge_loci(la, lb, split_c, d - split_c)
+        delay_a = r * split_c * (c * split_c / 2.0 + cap_a)
+        delay_b = r * (d - split_c) * (c * (d - split_c) / 2.0 + cap_b)
+        base = pend_base[slots]
+        delays[rows] = np.where(
+            pend_side_a[slots][:, :, None],
+            base + delay_a[:, None, None],
+            np.where(row_present[:, :, None], base + delay_b[:, None, None], 0.0),
+        )
+        ids = node_id[rows]
+        t_edge[t_child_a[ids]] = split
+        t_edge[t_child_b[ids]] = d - split
+        t_loci[ids] = loci[rows]
 
     # ------------------------------------------------------------------
     # Bottom-up merging.
@@ -191,19 +204,19 @@ def route_arena(
 
             merge_start = time.perf_counter()
             with tracer.span("dme.merge") as merge_span:
-                # Spend deferred cross-group freedom now that the partners are known,
-                # sequentially in pair order exactly like the object backend (each
-                # side resolves towards the partner's current -- possibly just
-                # updated -- locus).
-                for ia, ib in pairs:
-                    if pending[ia] is not None:
-                        _resolve_row(ia, loci[ib])
-                    if pending[ib] is not None:
-                        _resolve_row(ib, loci[ia])
-
                 num_pairs = len(pairs)
                 a_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=num_pairs)
                 b_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=num_pairs)
+                # Spend deferred cross-group freedom now that the partners are
+                # known.  The pairs are disjoint rows, so the only order that
+                # matters is a-side before b-side within a pair: every a-side
+                # resolves towards its partner's locus, then every b-side
+                # towards its (possibly just updated) partner.
+                for side, other in ((a_idx, b_idx), (b_idx, a_idx)):
+                    waiting = np.flatnonzero(pend_slot[side] >= 0)
+                    if waiting.size:
+                        _resolve(side[waiting], loci[other[waiting]])
+
                 plan = plan_merges(
                     loci[a_idx],
                     loci[b_idx],
@@ -233,15 +246,12 @@ def route_arena(
                 t_loci[new_ids] = plan.locus
                 next_id += num_pairs
 
-                # Statistics, group association and new pendings, in pair order.
+                # Statistics and group association, in pair order.
                 case_list = plan.case_codes.tolist()
                 snaked_list = plan.snaked.tolist()
                 detour_list = plan.detour.tolist()
                 viol_list = plan.violation.tolist()
-                ea_list = plan.ea.tolist()
-                dist_list = plan.distance.tolist()
                 by_case = stats.merges_by_case
-                new_pending: List[Optional[ArenaPending]] = [None] * num_pairs
                 for t in range(num_pairs):
                     label = CASE_LABELS[case_list[t]]
                     by_case[label] = by_case.get(label, 0) + 1
@@ -249,33 +259,29 @@ def route_arena(
                         stats.snaked_merges += 1
                         stats.total_detour += detour_list[t]
                     stats.max_violation = max(stats.max_violation, viol_list[t])
-                    ia = int(a_idx[t])
-                    ib = int(b_idx[t])
-                    if num_groups == 1:
-                        association.associate(group_ids[0], group_ids[0])
-                    else:
-                        ga = [group_ids[k] for k in np.flatnonzero(present[ia]).tolist()]
-                        gb = [group_ids[k] for k in np.flatnonzero(present[ib]).tolist()]
-                        anchor = ga[0]
-                        for g in ga[1:]:
-                            association.associate(anchor, g)
-                        for g in gb:
-                            association.associate(anchor, g)
-                    if case_list[t] == DISJOINT_CODE and not snaked_list[t]:
-                        new_pending[t] = ArenaPending(
-                            child_a_id=int(ca_ids[t]),
-                            child_b_id=int(cb_ids[t]),
-                            locus_a=loci[ia].copy(),
-                            locus_b=loci[ib].copy(),
-                            distance=dist_list[t],
-                            cap_a=float(cap[ia]),
-                            cap_b=float(cap[ib]),
-                            delays_a=delays[ia].copy(),
-                            delays_b=delays[ib].copy(),
-                            present_a=present[ia].copy(),
-                            present_b=present[ib].copy(),
-                            balance_split=ea_list[t],
-                        )
+                    if association.num_classes - spare_classes <= 1:
+                        continue  # every routing group is already associated
+                    ga = [group_ids[k] for k in np.flatnonzero(present[a_idx[t]]).tolist()]
+                    gb = [group_ids[k] for k in np.flatnonzero(present[b_idx[t]]).tolist()]
+                    anchor = ga[0]
+                    for g in ga[1:]:
+                        association.associate(anchor, g)
+                    for g in gb:
+                        association.associate(anchor, g)
+
+                # The new rows' pending splits: every unsnaked disjoint merge.
+                fresh = np.flatnonzero((plan.case_codes == DISJOINT_CODE) & ~plan.snaked)
+                fa = a_idx[fresh]
+                fb = b_idx[fresh]
+                new_geo = np.empty((fresh.size, _PEND_COLUMNS), dtype=np.float64)
+                new_geo[:, _LA] = loci[fa]
+                new_geo[:, _LB] = loci[fb]
+                new_geo[:, _DIST] = plan.distance[fresh]
+                new_geo[:, _CAP_A] = cap[fa]
+                new_geo[:, _CAP_B] = cap[fb]
+                new_geo[:, _BAL] = plan.ea[fresh]
+                new_side_a = present[fa]
+                new_base = np.where(new_side_a[:, :, None], delays[fa], delays[fb])
 
                 # Compact: survivors keep their order, merged rows append in pair
                 # order (the object backend's survivor-list + new-subtree layout).
@@ -288,7 +294,18 @@ def route_arena(
                 delays = np.concatenate((delays[keep], plan.delays))
                 present = np.concatenate((present[keep], plan.present))
                 node_id = np.concatenate((node_id[keep], new_ids))
-                pending = [pending[k] for k in keep.tolist()] + new_pending
+                # The pending table keeps the survivors' entries, then the
+                # new rows'; slots are renumbered to match.
+                kept_slots = pend_slot[keep]
+                held = kept_slots >= 0
+                survivors = kept_slots[held]
+                pend_geo = np.concatenate((pend_geo[survivors], new_geo))
+                pend_side_a = np.concatenate((pend_side_a[survivors], new_side_a))
+                pend_base = np.concatenate((pend_base[survivors], new_base))
+                kept_slots[held] = np.arange(survivors.size)
+                new_slots = np.full(num_pairs, -1, dtype=np.int64)
+                new_slots[fresh] = survivors.size + np.arange(fresh.size)
+                pend_slot = np.concatenate((kept_slots, new_slots))
                 m = int(node_id.shape[0])
                 merge_span.add("nodes_merged", 2 * num_pairs)
             stats.merge_seconds += time.perf_counter() - merge_start
@@ -297,10 +314,10 @@ def route_arena(
     # Source connection.
     # ------------------------------------------------------------------
     src = instance.source
-    if pending[0] is not None:
+    if pend_slot[0] >= 0:
         su = src.x + src.y
         sv = src.x - src.y
-        _resolve_row(0, np.array([su, su, sv, sv], dtype=np.float64))
+        _resolve(np.zeros(1, dtype=np.int64), np.array([[su, su, sv, sv]], dtype=np.float64))
     root_locus = loci[0]
     root_trr = Trr(
         float(root_locus[0]),

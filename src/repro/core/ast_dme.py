@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.config import OptConfig
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.circuits.instance import ClockInstance, Sink
 from repro.core.group_constraints import GroupAssociation, SkewConstraints
-from repro.core.lazy_sdr import make_pending, resolve_pending
+from repro.core.lazy_sdr import make_pending, resolve_pending, resolve_pendings
 from repro.core.merge_cases import DISJOINT, MergeDecision, plan_merge
 from repro.core.merging_order import MergeOrderPolicy, check_neighbor_strategy
 from repro.core.subtree import Subtree
@@ -56,6 +56,7 @@ __all__ = [
     "ARENA_MAX_GROUPS",
     "add_sink_stub",
     "merge_subtrees",
+    "register_routing_groups",
 ]
 
 #: Supported tree-core backends.
@@ -338,11 +339,14 @@ def merge_subtrees(
     tech = tree.technology
     stats = MergeStats()
     association = GroupAssociation(groups)
-    # A stub may already span several groups (an ECO frontier subtree).
+    routing_groups: Set[int] = set()
     for sub in subtrees:
         present = sorted(sub.delays)
+        routing_groups.update(present)
+        # A stub may already span several groups (an ECO frontier subtree).
         for group in present[1:]:
             association.associate(present[0], group)
+    spare_classes = register_routing_groups(association, routing_groups, len(subtrees) > 1)
     selector = config.order_policy().make_selector()
 
     def budget(sub: Subtree) -> float:
@@ -363,19 +367,30 @@ def merge_subtrees(
             pass_span.set(pairs=len(pairs))
             merge_start = time.perf_counter()
             with tracer.span("dme.merge") as merge_span:
+                # Spend any deferred cross-group freedom now that the next
+                # merge partners are known (see repro.core.lazy_sdr): every
+                # pending a-side towards its partner, then every pending
+                # b-side towards its (possibly just updated) partner.  The
+                # pairs are disjoint, so no other order matters.
+                for side, other in ((0, 1), (1, 0)):
+                    waiting = [
+                        (subtrees[pair[side]], subtrees[pair[other]])
+                        for pair in pairs
+                        if subtrees[pair[side]].pending is not None
+                    ]
+                    resolve_pendings(
+                        [sub for sub, _ in waiting],
+                        [partner.locus for _, partner in waiting],
+                        tech,
+                        tree,
+                        loci,
+                        [budget(sub) for sub, _ in waiting],
+                    )
                 merged_indices = set()
                 new_subtrees: List[Subtree] = []
                 for index_a, index_b in pairs:
                     sub_a = subtrees[index_a]
                     sub_b = subtrees[index_b]
-                    # Spend any deferred cross-group freedom now that the
-                    # next merge partner is known (see repro.core.lazy_sdr).
-                    resolve_pending(
-                        sub_a, sub_b.locus, tech, tree, loci, max_deviation=budget(sub_a)
-                    )
-                    resolve_pending(
-                        sub_b, sub_a.locus, tech, tree, loci, max_deviation=budget(sub_b)
-                    )
                     decision = plan_merge(
                         sub_a,
                         sub_b,
@@ -401,7 +416,8 @@ def merge_subtrees(
                         )
                     new_subtrees.append(merged_subtree)
                     stats.record(decision)
-                    _record_association(association, sub_a, sub_b)
+                    if association.num_classes - spare_classes > 1:
+                        _record_association(association, sub_a, sub_b)
                     merged_indices.add(index_a)
                     merged_indices.add(index_b)
                 subtrees = [
@@ -424,6 +440,25 @@ def merge_subtrees(
     stats.neighbor_full_rebuilds = selector.full_rebuilds
     stats.neighbor_incremental_passes = selector.incremental_passes
     return stats, association
+
+
+def register_routing_groups(
+    association: GroupAssociation, routing_groups: Set[int], merging: bool
+) -> int:
+    """Register the groups a merge loop will associate; return the spare classes.
+
+    When the loop merges at all, its first merges would register every
+    routing group (group 0 alone under ``single_group``) anyway; registering
+    them up front lets the loop skip the per-pair association once
+    ``association.num_classes - spare <= 1``, i.e. once every routing group
+    shares one class and each further call would be a silent no-op.  The
+    spare classes are the registered groups no merge touches (the instance's
+    own groups under ``single_group``), each a class of its own.
+    """
+    if merging:
+        for group in routing_groups:
+            association.add(group)
+    return len(association) - len(routing_groups)
 
 
 def _skew_budget(subtree: Subtree, constraints: SkewConstraints, fraction: float) -> float:

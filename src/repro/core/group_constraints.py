@@ -77,6 +77,8 @@ class GroupAssociation:
     def __init__(self, groups: Optional[Iterable[int]] = None) -> None:
         self._parent: Dict[int, int] = {}
         self._rank: Dict[int, int] = {}
+        #: Number of association classes (registered groups minus joins).
+        self.num_classes = 0
         self.association_events: List[tuple] = []
         for group in groups or []:
             self.add(group)
@@ -86,6 +88,7 @@ class GroupAssociation:
         if group not in self._parent:
             self._parent[group] = group
             self._rank[group] = 0
+            self.num_classes += 1
 
     def find(self, group: int) -> int:
         """Representative of the association class containing ``group``."""
@@ -110,6 +113,7 @@ class GroupAssociation:
         if self._rank[root_a] < self._rank[root_b]:
             root_a, root_b = root_b, root_a
         self._parent[root_b] = root_a
+        self.num_classes -= 1
         if self._rank[root_a] == self._rank[root_b]:
             self._rank[root_a] += 1
         self.association_events.append((group_a, group_b))

@@ -13,11 +13,12 @@ recorded as *pending* instead of being committed.  The pending split is
 resolved lazily, at the moment the merged subtree is about to participate in
 its next merge, by choosing the split whose placement locus is closest to the
 new partner (ties broken towards the delay-balanced split; the corridor scan
-is :func:`repro.core.merge_batch.resolve_split`).  Because the two
-sides of an unconstrained merge share no sink group, re-choosing the split
-shifts every group on one side rigidly and can never violate an intra-group
-constraint; the total wire of the pending merge is the corridor length for
-every split, so wirelength bookkeeping is unaffected as well.
+is :func:`repro.core.merge_batch.resolve_splits`, which resolves a whole
+pass's pendings per call).  Because the two sides of an unconstrained merge
+share no sink group, re-choosing the split shifts every group on one side
+rigidly and can never violate an intra-group constraint; the total wire of
+the pending merge is the corridor length for every split, so wirelength
+bookkeeping is unaffected as well.
 
 DESIGN.md documents this as the substitution for full BST merging regions.
 """
@@ -25,16 +26,24 @@ DESIGN.md documents this as the substitution for full BST merging regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.merge_batch import resolve_split
+import numpy as np
+
+from repro.core.merge_batch import resolve_splits
 from repro.core.subtree import Subtree
 from repro.delay.technology import Technology
 from repro.delay.wire import wire_delay
 from repro.geometry.sdr import merge_locus
 from repro.geometry.trr import Trr
 
-__all__ = ["PendingSplit", "make_pending", "resolve_pending", "resolution_for_target"]
+__all__ = [
+    "PendingSplit",
+    "make_pending",
+    "resolve_pending",
+    "resolve_pendings",
+    "resolution_for_target",
+]
 
 
 @dataclass
@@ -118,7 +127,7 @@ def resolution_for_target(
 ) -> float:
     """The split bringing the pending merge's locus closest to ``target``.
 
-    The scalar reference of :func:`repro.core.merge_batch.resolve_split`,
+    The scalar reference of :func:`repro.core.merge_batch.resolve_splits`,
     which every router path uses; this loop is kept as its test oracle.
     Only splits whose delay shift relative to the balanced split stays within
     ``max_deviation`` (the useful-skew budget) are considered; the balanced
@@ -147,6 +156,45 @@ def resolution_for_target(
     return best_split
 
 
+def resolve_pendings(
+    subtrees: Sequence[Subtree],
+    targets: Sequence[Trr],
+    tech: Technology,
+    tree,
+    loci: Dict[int, Trr],
+    max_deviations: Sequence[float],
+) -> None:
+    """Resolve each subtree's pending split towards its target, in one batch.
+
+    ``subtrees[k]`` must carry a pending split; it is resolved towards
+    ``targets[k]`` within the useful-skew budget ``max_deviations[k]`` (the
+    largest delay shift, relative to the balanced split, the resolution may
+    spend on chasing the target, which is what keeps later shared-group
+    merges feasible).  All splits are chosen by one
+    :func:`repro.core.merge_batch.resolve_splits` call; each subtree's locus
+    and delay intervals, the booked edge lengths of its two children in
+    ``tree`` and the recorded placement locus of its merge node are then
+    updated, and its pending split is cleared.
+    """
+    if not subtrees:
+        return
+    pendings = [subtree.pending for subtree in subtrees]
+    splits = resolve_splits(
+        np.array([_row(p.locus_a) for p in pendings]),
+        np.array([_row(p.locus_b) for p in pendings]),
+        np.array([p.distance for p in pendings]),
+        np.array([p.cap_a for p in pendings]),
+        np.array([p.cap_b for p in pendings]),
+        np.array([p.balance_split for p in pendings]),
+        np.array([_row(target) for target in targets]),
+        tech.unit_resistance,
+        tech.unit_capacitance,
+        np.array(max_deviations, dtype=np.float64),
+    )
+    for subtree, split in zip(subtrees, splits.tolist()):
+        _commit(subtree, split, tech, tree, loci)
+
+
 def resolve_pending(
     subtree: Subtree,
     target: Optional[Trr],
@@ -157,31 +205,21 @@ def resolve_pending(
 ) -> None:
     """Resolve ``subtree``'s pending split (if any) towards ``target``.
 
-    Updates the subtree's locus and delay intervals, the booked edge lengths
-    of the two children in ``tree`` and the recorded placement locus of the
-    merge node.  A ``None`` target keeps the delay-balanced split.
-    ``max_deviation`` is the useful-skew budget: the largest delay shift
-    (relative to the balanced split) the resolution may spend on chasing the
-    target, which is what keeps later shared-group merges feasible.
+    The one-subtree form of :func:`resolve_pendings`; a ``None`` target keeps
+    the delay-balanced split.
     """
     pending = getattr(subtree, "pending", None)
     if pending is None:
         return
     if target is None:
-        split = pending.balance_split
+        _commit(subtree, pending.balance_split, tech, tree, loci)
     else:
-        split = resolve_split(
-            _row(pending.locus_a),
-            _row(pending.locus_b),
-            pending.distance,
-            pending.cap_a,
-            pending.cap_b,
-            pending.balance_split,
-            _row(target),
-            tech.unit_resistance,
-            tech.unit_capacitance,
-            max_deviation,
-        )
+        resolve_pendings([subtree], [target], tech, tree, loci, [max_deviation])
+
+
+def _commit(subtree: Subtree, split: float, tech: Technology, tree, loci: Dict[int, Trr]) -> None:
+    """Fix ``subtree``'s pending split at ``split`` and clear it."""
+    pending = subtree.pending
     subtree.locus = pending.locus_at(split)
     subtree.delays = pending.delays_at(split, tech)
     tree.set_edge_length(pending.child_a_id, split)

@@ -4,8 +4,11 @@ This module is the batched counterpart of :mod:`repro.core.merge_cases`,
 :mod:`repro.core.balancing` and :mod:`repro.core.lazy_sdr`: the same
 arithmetic, evaluated over whole arrays of candidate pairs at once.  It backs
 the ``tree_backend="arena"`` construction loop (:mod:`repro.core.arena_dme`);
-its corridor scan ``resolve_split`` is also the split search of the object
-loop (:func:`repro.core.lazy_sdr.resolve_pending`).
+its corridor scan ``resolve_splits`` is also the split search of the object
+loop (:func:`repro.core.lazy_sdr.resolve_pendings`).  Both loops call it
+twice per pass -- once for every pending a-side, once for every pending
+b-side -- with one row per pending merge, and it scans the rows in blocks of
+``BLOCK``.
 
 Bit identity is a hard requirement, not an aspiration: the arena backend must
 produce float-for-float the same trees as the object backend, which the bench
@@ -20,10 +23,11 @@ identically.  Three scalar subtleties deserve calling out:
   ``g_lo <= 0 <= g_hi`` always holds, so the batched disjoint case needs no
   snaking arithmetic at all.
 * Python's banker's ``round(x, 6)`` (used by the lazy-split tie-break) does
-  not match ``np.round`` bit for bit.  ``resolve_split`` exploits that
+  not match ``np.round`` bit for bit.  ``resolve_splits`` exploits that
   ``round`` is monotone: the minimal rounded distance equals the rounding of
-  the minimal distance, so only a tiny superset of near-minimal samples is
-  re-rounded with Python's ``round`` to find the scalar-identical winner.
+  the minimal distance, so Python's ``round`` runs once on each row's
+  minimum, and only rows with several near-minimal samples re-round that
+  tiny superset to find the scalar-identical winner.
 * Masked branches are evaluated on gathered index subsets
   (``np.flatnonzero``), never via ``np.where`` over full arrays, so sqrt /
   division never see operands the scalar code would not have produced.
@@ -49,11 +53,11 @@ __all__ = [
     "SAME_GROUP_CODE",
     "SHARED_CODE",
     "SAMPLES",
+    "BLOCK",
     "BatchMergePlan",
-    "ArenaPending",
     "plan_merges",
     "merge_loci",
-    "resolve_split",
+    "resolve_splits",
 ]
 
 _EPS = 1e-9  # keep in sync with repro.core.balancing._EPS
@@ -67,6 +71,13 @@ CASE_LABELS = (DISJOINT, SAME_GROUP, SHARED)
 #: Corridor samples of the lazy-split scan; keep in sync with the default of
 #: :func:`repro.core.lazy_sdr.resolution_for_target`.
 SAMPLES = 129
+_SAMPLE_INDEX = np.arange(SAMPLES, dtype=np.float64)
+
+#: Rows per corridor-scan block of :func:`resolve_splits`: bounds its
+#: ``(rows, SAMPLES + 1)`` temporaries to ~65 kB each whatever the pass size.
+#: Larger blocks were no faster, and each doubling from 64 to 256 rows added
+#: ~2 MB to the peak RSS of a 6k-sink route.
+BLOCK = 64
 
 
 @dataclass
@@ -92,24 +103,6 @@ class BatchMergePlan:
     delays: np.ndarray  # (P, G, 2)
     present: np.ndarray  # (P, G) bool
     locus: np.ndarray  # (P, 4)
-
-
-@dataclass
-class ArenaPending:
-    """Array-native :class:`~repro.core.lazy_sdr.PendingSplit`."""
-
-    child_a_id: int
-    child_b_id: int
-    locus_a: np.ndarray  # (4,)
-    locus_b: np.ndarray  # (4,)
-    distance: float
-    cap_a: float
-    cap_b: float
-    delays_a: np.ndarray  # (G, 2)
-    delays_b: np.ndarray  # (G, 2)
-    present_a: np.ndarray  # (G,) bool
-    present_b: np.ndarray  # (G,) bool
-    balance_split: float
 
 
 def _wire_delay(length, cap, r: float, c: float):
@@ -304,89 +297,117 @@ def plan_merges(
     )
 
 
-def resolve_split(
-    locus_a,
-    locus_b,
-    distance: float,
-    cap_a: float,
-    cap_b: float,
-    balance: float,
-    target_row,
+def resolve_splits(
+    locus_a: np.ndarray,
+    locus_b: np.ndarray,
+    distance: np.ndarray,
+    cap_a: np.ndarray,
+    cap_b: np.ndarray,
+    balance: np.ndarray,
+    target: np.ndarray,
     r: float,
     c: float,
-    max_deviation: float,
-) -> float:
-    """The lazy split of a pending merge chosen towards ``target_row``.
+    max_deviation: np.ndarray,
+) -> np.ndarray:
+    """The lazy splits of ``P`` pending merges, each chosen towards its target.
 
     The one split search of both tree backends.  ``locus_a`` / ``locus_b`` /
-    ``target_row`` are ``(ulo, uhi, vlo, vhi)`` rows (arrays or tuples) and
-    the remaining arguments are the pending merge's corridor length, child
-    capacitances and delay-balanced split.
-    :func:`repro.core.lazy_sdr.resolution_for_target` is its scalar test
-    oracle.
+    ``target`` are ``(P, 4)`` rows ``(ulo, uhi, vlo, vhi)``; ``distance``,
+    ``cap_a`` / ``cap_b``, ``balance`` (the delay-balanced split) and
+    ``max_deviation`` (the useful-skew budget) are ``(P,)``.  Rows are
+    independent: row ``k`` of the result is what
+    :func:`repro.core.lazy_sdr.resolution_for_target` (the scalar test oracle)
+    returns for row ``k`` alone, and ``0.0`` where ``distance <= 0``.
 
-    Scans the same ``SAMPLES`` corridor splits the scalar oracle does and picks
-    the identical winner under the key ``(round(distance_to_target, 6),
-    abs(split - balance_split))`` with first-sample-wins ties.  Python's
-    ``round`` is monotone, so the minimal rounded distance is the rounding of
-    the minimal distance; only samples within a whisker of the minimum can
-    share that rounded value, and just those few are re-rounded with Python's
-    ``round`` to reproduce the scalar comparison exactly.
+    Every row scans the same ``SAMPLES`` corridor splits the oracle does, as
+    one row of a ``(rows, SAMPLES + 1)`` matrix evaluated ``BLOCK`` rows at a
+    time, and picks the identical winner under the key
+    ``(round(distance_to_target, 6), abs(split - balance))`` with
+    first-sample-wins ties.  Python's ``round`` is monotone, so the minimal
+    rounded distance is the rounding of the minimal distance; only samples
+    within a whisker of a row's minimum can share that rounded value, and only
+    rows with more than one such sample re-round them with Python's ``round``
+    to reproduce the scalar comparison exactly.
     """
-    d = distance
-    if d <= 0.0:
-        return 0.0
+    out = np.zeros(len(distance))
+    live = np.flatnonzero(distance > 0.0)
+    for start in range(0, live.size, BLOCK):
+        rows = live[start : start + BLOCK]
+        out[rows] = _scan_block(
+            locus_a[rows],
+            locus_b[rows],
+            distance[rows],
+            cap_a[rows],
+            cap_b[rows],
+            balance[rows],
+            target[rows],
+            r,
+            c,
+            max_deviation[rows],
+        )
+    return out
 
-    # Sample 0 is the balanced split itself so its target distance comes from
+
+def _scan_block(la, lb, distance, cap_a, cap_b, balance, target, r, c, max_deviation):
+    """:func:`resolve_splits` over one block of rows with positive distance."""
+    d = distance[:, None]
+    bal = balance[:, None]
+    # Column 0 is the balanced split itself so its target distance comes from
     # the same elementwise expressions as the candidates'.
-    splits = np.empty(SAMPLES + 1)
-    splits[0] = balance
-    splits[1:] = d * np.arange(SAMPLES, dtype=np.float64) / float(SAMPLES - 1)
+    splits = np.empty((len(distance), SAMPLES + 1))
+    splits[:, 0] = balance
+    splits[:, 1:] = d * _SAMPLE_INDEX / float(SAMPLES - 1)
 
     clamped = np.minimum(np.maximum(splits, 0.0), d)
     ea = np.maximum(clamped, 0.0)
     eb = np.maximum(d - clamped, 0.0)
-    la = locus_a
-    lb = locus_b
-    ulo = np.maximum(la[0] - ea, lb[0] - eb)
-    uhi = np.minimum(la[1] + ea, lb[1] + eb)
-    vlo = np.maximum(la[2] - ea, lb[2] - eb)
-    vhi = np.minimum(la[3] + ea, lb[3] + eb)
+    ulo = np.maximum(la[:, 0:1] - ea, lb[:, 0:1] - eb)
+    uhi = np.minimum(la[:, 1:2] + ea, lb[:, 1:2] + eb)
+    vlo = np.maximum(la[:, 2:3] - ea, lb[:, 2:3] - eb)
+    vhi = np.minimum(la[:, 3:4] + ea, lb[:, 3:4] + eb)
     if np.any((uhi < ulo - _EPS) | (vhi < vlo - _EPS)):  # pragma: no cover - defensive
         raise RuntimeError("pending split produced an empty locus")
     uhi = np.maximum(uhi, ulo)
     vhi = np.maximum(vhi, vlo)
-    gap_u = np.maximum(target_row[0] - uhi, ulo - target_row[1])
-    gap_v = np.maximum(target_row[2] - vhi, vlo - target_row[3])
+    gap_u = np.maximum(target[:, 0:1] - uhi, ulo - target[:, 1:2])
+    gap_v = np.maximum(target[:, 2:3] - vhi, vlo - target[:, 3:4])
     dists = np.maximum(np.maximum(gap_u, gap_v), 0.0)
 
     # Deviation filter (the balanced sample always qualifies by construction).
-    raw = splits[1:]
-    shift_a = np.abs(_wire_delay(raw, cap_a, r, c) - _wire_delay(balance, cap_a, r, c))
-    shift_b = np.abs(
-        _wire_delay(d - raw, cap_b, r, c) - _wire_delay(d - balance, cap_b, r, c)
-    )
-    valid = np.maximum(shift_a, shift_b) <= max_deviation
+    raw = splits[:, 1:]
+    ca = cap_a[:, None]
+    cb = cap_b[:, None]
+    shift_a = np.abs(_wire_delay(raw, ca, r, c) - _wire_delay(bal, ca, r, c))
+    shift_b = np.abs(_wire_delay(d - raw, cb, r, c) - _wire_delay(d - bal, cb, r, c))
+    valid = np.maximum(shift_a, shift_b) <= max_deviation[:, None]
 
-    best_key = (round(float(dists[0]), 6), 0.0)
-    best_split = balance
-    if valid.any():
-        sample_d = dists[1:]
-        masked = np.where(valid, sample_d, np.inf)
-        dmin = float(masked.min())
-        b = round(dmin, 6)
-        # Superset of every sample that can round to b: round(x, 6) == b
-        # implies x <= b + 5e-7 + ulp and b <= dmin + 5e-7 + ulp.
-        near = valid & (sample_d <= dmin + 2e-6)
+    sample_d = dists[:, 1:]
+    masked = np.where(valid, sample_d, np.inf)
+    best = masked.argmin(axis=1)
+    dmin = masked[np.arange(len(best)), best]
+    # A sample wins only if its rounded distance beats the balanced split's,
+    # which needs a strictly smaller raw distance (round is monotone).
+    out = balance.copy()
+    rows = np.flatnonzero(valid.any(axis=1) & (dmin < dists[:, 0]))
+    if not rows.size:
+        return out
+    # Superset of every sample that can round to round(dmin, 6):
+    # round(x, 6) == b implies x <= b + 5e-7 + ulp and b <= dmin + 5e-7 + ulp.
+    near = valid[rows] & (sample_d[rows] <= (dmin[rows] + 2e-6)[:, None])
+    crowded = (near.sum(axis=1) > 1).tolist()
+    for k, row in enumerate(rows.tolist()):
+        b = round(float(dmin[row]), 6)
+        if not b < round(float(dists[row, 0]), 6):
+            continue
+        if not crowded[k]:
+            out[row] = raw[row, best[row]]
+            continue
         tie_best = None
-        split_best = None
-        for k in np.flatnonzero(near).tolist():
-            if round(float(sample_d[k]), 6) != b:
+        for j in np.flatnonzero(near[k]).tolist():
+            if round(float(sample_d[row, j]), 6) != b:
                 continue
-            tie = abs(float(raw[k]) - balance)
+            tie = abs(float(raw[row, j]) - float(balance[row]))
             if tie_best is None or tie < tie_best:
                 tie_best = tie
-                split_best = float(raw[k])
-        if tie_best is not None and (b, tie_best) < best_key:
-            best_split = split_best
-    return best_split
+                out[row] = raw[row, j]
+    return out

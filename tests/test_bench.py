@@ -302,6 +302,8 @@ class TestV5Schema:
                     "row_label": "x",
                     "wall_seconds": 1.0,
                     "max_wall_seconds": 2.0,
+                    "merge_seconds": 0.5,
+                    "max_merge_seconds": 1.0,
                     "peak_rss_mb": 10.0,
                     "max_peak_rss_mb": 20.0,
                     "passed": True,
@@ -369,15 +371,40 @@ class TestLargeSuite:
         assert len(resource) == 2  # one per arena row
         for gate in resource:
             assert gate["max_wall_seconds"] == 0.0
+            assert gate["max_merge_seconds"] == 0.0
             assert gate["max_peak_rss_mb"] == 0.0
             assert gate["passed"]
 
     def test_resource_limits_cover_default_sizes(self):
-        from repro.bench import LARGE_RSS_LIMITS, LARGE_SIZES, LARGE_WALL_LIMITS
+        from repro.bench import (
+            LARGE_MERGE_LIMITS,
+            LARGE_RSS_LIMITS,
+            LARGE_SIZES,
+            LARGE_WALL_LIMITS,
+        )
 
         for n in LARGE_SIZES:
             assert LARGE_WALL_LIMITS[n] > 0.0
+            assert 0.0 < LARGE_MERGE_LIMITS[n] < LARGE_WALL_LIMITS[n]
             assert LARGE_RSS_LIMITS[n] > 0.0
+
+    def test_merge_ceiling_binds_below_the_wall_ceiling(self):
+        from repro.bench import LARGE_MERGE_LIMITS, _large_gates
+
+        n = 50000
+        row = {
+            "label": "ast-dme-large-n%d" % n,
+            "tree_backend": "arena",
+            "num_sinks": n,
+            "ok": True,
+            "wall_seconds": 1.0,
+            "peak_rss_mb": 1.0,
+        }
+        for merge, passed in ((0.99, True), (1.01, False)):
+            row["merge_seconds"] = merge * LARGE_MERGE_LIMITS[n]
+            (gate,) = _large_gates([row], [n], smoke=False)
+            assert gate["passed"] is passed
+            assert gate["max_merge_seconds"] == LARGE_MERGE_LIMITS[n]
 
     def test_cli_accepts_large_suite_and_profile(self):
         args = build_parser().parse_args(["bench", "--suite", "large", "--profile"])

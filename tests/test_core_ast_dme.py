@@ -129,3 +129,58 @@ class TestDeterminism:
         report_a = skew_report(first.tree)
         report_b = skew_report(second.tree)
         assert report_a.global_skew == pytest.approx(report_b.global_skew)
+
+
+class TestGroupAssociation:
+    """The router's association record, including its one-class early-out."""
+
+    @staticmethod
+    def one_group_instance(num_sinks, group):
+        from repro.circuits.instance import ClockInstance, Sink
+        from repro.geometry.point import Point
+
+        sinks = tuple(
+            Sink(k, Point(float(37 * k % 101), float(53 * k % 97)), 0.05, group=group)
+            for k in range(num_sinks)
+        )
+        return ClockInstance("one-group", sinks, Point(50.0, 50.0))
+
+    @pytest.mark.parametrize("backend", ["arena", "object"])
+    def test_single_group_run_registers_the_routing_group(self, backend):
+        # single_group routes every sink in group 0; the instance's own group
+        # 3 stays a separate, never associated class.
+        instance = self.one_group_instance(40, group=3)
+        config = AstDmeConfig(skew_bound_ps=10.0, tree_backend=backend)
+        result = AstDme(config).route(instance, single_group=True)
+        assert result.association.classes() == [[0], [3]]
+        assert result.association.association_events == []
+
+    @pytest.mark.parametrize("backend", ["arena", "object"])
+    def test_single_sink_single_group_run_registers_nothing(self, backend):
+        instance = self.one_group_instance(1, group=3)
+        config = AstDmeConfig(skew_bound_ps=10.0, tree_backend=backend)
+        result = AstDme(config).route(instance, single_group=True)
+        assert result.association.classes() == [[3]]
+
+    def test_backends_log_the_same_events_until_one_class_remains(self):
+        instance = random_instance("assoc", 300, seed=4, num_groups=6)
+        arena = route(instance, skew_bound_ps=10.0)
+        obj = route(instance, skew_bound_ps=10.0, tree_backend="object")
+        events = arena.association.association_events
+        assert events == obj.association.association_events
+        assert len(events) == 5  # six groups joined by five events
+        assert arena.association.classes() == [list(range(6))]
+
+    def test_class_count_tracks_registrations_and_joins(self):
+        from repro.core.group_constraints import GroupAssociation
+
+        association = GroupAssociation([1, 2, 3])
+        assert association.num_classes == 3
+        association.add(2)
+        association.find(7)
+        assert association.num_classes == 4
+        assert association.associate(1, 2) and association.associate(3, 7)
+        assert not association.associate(2, 1)
+        assert association.num_classes == 2
+        association.associate(7, 1)
+        assert association.num_classes == 1 == len(association.classes())

@@ -1,5 +1,8 @@
 """Tests for lazy split resolution (repro.core.lazy_sdr)."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,7 @@ from repro.core.lazy_sdr import (
     resolution_for_target,
     resolve_pending,
 )
-from repro.core.merge_batch import resolve_split
+from repro.core.merge_batch import BLOCK, resolve_splits
 from repro.core.subtree import Subtree
 from repro.cts.tree import ClockTree
 from repro.delay.technology import Technology
@@ -132,7 +135,7 @@ class TestResolvePending:
 
 
 # ----------------------------------------------------------------------
-# resolve_split (the routers' corridor scan) against its scalar oracle.
+# resolve_splits (the routers' corridor scan) against its scalar oracle.
 # ----------------------------------------------------------------------
 _COORD = st.integers(-3000, 3000).map(float) | st.floats(-3000.0, 3000.0)
 _WIDTH = st.sampled_from([1.0, 64.0]) | st.floats(0.0, 500.0)
@@ -211,8 +214,79 @@ def _row(trr):
     return (trr.ulo, trr.uhi, trr.vlo, trr.vhi)
 
 
+def _resolve_rows(cases):
+    """``resolve_splits`` over ``(pending, target, max_deviation)`` rows."""
+    pendings = [pending for pending, _, _ in cases]
+    return resolve_splits(
+        np.array([_row(p.locus_a) for p in pendings]),
+        np.array([_row(p.locus_b) for p in pendings]),
+        np.array([p.distance for p in pendings]),
+        np.array([p.cap_a for p in pendings]),
+        np.array([p.cap_b for p in pendings]),
+        np.array([p.balance_split for p in pendings]),
+        np.array([_row(target) for _, target, _ in cases]),
+        TECH.unit_resistance,
+        TECH.unit_capacitance,
+        np.array([budget for _, _, budget in cases]),
+    ).tolist()
+
+
+def _pending(locus_a, locus_b, balance, cap_a=40.0, cap_b=40.0):
+    return PendingSplit(
+        child_a_id=0,
+        child_b_id=1,
+        locus_a=locus_a,
+        locus_b=locus_b,
+        distance=locus_a.distance_to(locus_b),
+        cap_a=cap_a,
+        cap_b=cap_b,
+        delays_a={0: (0.0, 0.0)},
+        delays_b={1: (0.0, 0.0)},
+        balance_split=balance,
+    )
+
+
+def _batch_case(rng, kind):
+    """One row of the many-row batch: ``kind`` picks its shape."""
+    u, v = rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0)
+    if kind == "zero":  # locus_b inside locus_a: d == 0, split 0.0
+        pending = _pending(Trr(u, u + 200.0, v, v + 100.0), Trr(u + 50.0, u + 50.0, v, v), 0.0)
+        return pending, Trr(u - 900.0, u - 900.0, v, v), float("inf")
+    if kind == "tie":  # the target covers many samples, the balance none
+        length = rng.choice([1.0, 128.0, 256.0])
+        balance = length * rng.choice([0.05, 0.95]) + rng.choice([-1e-7, 0.0, 1e-7])
+        pending = _pending(Trr(u, u, v + length, v + length), Trr(u, u, v, v), balance)
+        middle = Trr(u - 1.0, u + 1.0, v + 0.4 * length, v + 0.6 * length)
+        return pending, middle, float("inf")
+    if kind == "covered":  # every sample at distance 0
+        pending = _pending(Trr.from_point(Point(u, v)), Trr.from_point(Point(u + 700.0, v)), 350.0)
+        return pending, Trr(-1e5, 1e5, -1e5, 1e5), float("inf")
+    width = rng.choice([0.0, 0.0, 64.0, rng.uniform(0.0, 500.0)])
+    locus_a = Trr(u, u + width, v, v + rng.choice([0.0, width]))
+    ub, vb = rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0)
+    locus_b = Trr(ub, ub + rng.choice([0.0, 1.0]), vb, vb)
+    distance = locus_a.distance_to(locus_b)
+    pending = _pending(
+        locus_a,
+        locus_b,
+        distance * rng.choice([0.0, 1.0, rng.random()]),
+        cap_a=rng.uniform(0.0, 200.0),
+        cap_b=rng.uniform(0.0, 200.0),
+    )
+    if rng.random() < 0.5:  # a rounding whisker off the corridor
+        on = pending.locus_at(distance * rng.random())
+        nudge = rng.choice([0.0, 5e-7, 1e-6])
+        target = Trr(on.ulo + nudge, on.uhi + nudge, on.vlo - nudge, on.vhi - nudge)
+    else:
+        tu, tv = rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0)
+        target = Trr(tu, tu + rng.choice([0.0, 300.0]), tv, tv)
+    widest = wire_delay(distance, max(pending.cap_a, pending.cap_b), TECH)
+    budget = rng.choice([0.0, float("inf"), rng.random() * widest])
+    return pending, target, budget
+
+
 class TestResolveSplitOracle:
-    """``merge_batch.resolve_split`` picks the scalar oracle's split exactly."""
+    """``merge_batch.resolve_splits`` picks the scalar oracle's split exactly."""
 
     @settings(max_examples=500, deadline=None)
     @given(_pending_and_target())
@@ -237,35 +311,28 @@ class TestResolveSplitOracle:
     def test_matches_resolution_for_target(self, case):
         pending, target, max_deviation = case
         expected = resolution_for_target(pending, target, TECH, max_deviation)
-        got = resolve_split(
-            _row(pending.locus_a),
-            _row(pending.locus_b),
-            pending.distance,
-            pending.cap_a,
-            pending.cap_b,
-            pending.balance_split,
-            _row(target),
-            TECH.unit_resistance,
-            TECH.unit_capacitance,
-            max_deviation,
-        )
-        assert got == expected
+        assert _resolve_rows([case]) == [expected]
 
     def test_covered_corridor_ties_break_towards_balance(self):
         _, merged, _, _ = build_pending_pair()
         pending = merged.pending
         # The target covers the whole corridor: every sample is at distance 0.
         target = Trr(-5000.0, 5000.0, -5000.0, 5000.0)
-        got = resolve_split(
-            _row(pending.locus_a),
-            _row(pending.locus_b),
-            pending.distance,
-            pending.cap_a,
-            pending.cap_b,
-            pending.balance_split,
-            _row(target),
-            TECH.unit_resistance,
-            TECH.unit_capacitance,
-            float("inf"),
-        )
+        (got,) = _resolve_rows([(pending, target, float("inf"))])
         assert got == pending.balance_split == resolution_for_target(pending, target, TECH)
+
+    def test_many_row_batch_matches_the_oracle_row_by_row(self):
+        rng = random.Random(7)
+        kinds = ["zero", "tie", "covered", "free", "free", "free"]
+        cases = [_batch_case(rng, kinds[k % len(kinds)]) for k in range(600)]
+        assert len(cases) > 2 * BLOCK  # the rows span several scan blocks
+        assert sum(1 for pending, _, _ in cases if pending.distance <= 0.0) >= 50
+        got = _resolve_rows(cases)
+        expected = [
+            resolution_for_target(pending, target, TECH, budget)
+            for pending, target, budget in cases
+        ]
+        assert got == expected
+        # The tie rows pick a sample on the target, not the balanced split.
+        tie_rows = [k for k in range(len(cases)) if kinds[k % len(kinds)] == "tie"]
+        assert all(got[k] != cases[k][0].balance_split for k in tie_rows)
